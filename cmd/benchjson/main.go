@@ -61,11 +61,12 @@ func main() {
 	count := flag.Int("count", 3, "benchmark repetitions (-count)")
 	bench := flag.String("bench", "BenchmarkMachineRun|BenchmarkSimulatorThroughput",
 		"benchmark regex (-bench)")
-	pkg := flag.String("pkg", ".", "package to benchmark")
+	pkg := flag.String("pkg", ".", "packages to benchmark, space-separated")
 	flag.Parse()
 
-	cmd := exec.Command("go", "test", "-run", "^$",
-		"-bench", *bench, "-benchmem", "-count", strconv.Itoa(*count), *pkg)
+	args := append([]string{"test", "-run", "^$",
+		"-bench", *bench, "-benchmem", "-count", strconv.Itoa(*count)}, strings.Fields(*pkg)...)
+	cmd := exec.Command("go", args...)
 	raw, err := cmd.CombinedOutput()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: go test failed: %v\n%s", err, raw)

@@ -40,25 +40,48 @@ func (s state) String() string {
 	return fmt.Sprintf("state(%d)", uint8(s))
 }
 
-// line is one cache line's metadata. The simulator stores no data bytes;
-// functional values live in the workload layer.
+// line is one cache slot's payload: the coherence and directory state
+// beside the tag and LRU rows of its array. The simulator stores no data
+// bytes; functional values live in the workload layer.
 type line struct {
-	tag   memmap.Addr // line-aligned address; tag==0 means empty slot paired with valid=false
-	valid bool
 	st    state
 	dirty bool
-	lru   uint64
-	// Directory fields, used only in the L3 array.
-	sharers uint32 // bitmask of cores with the line in a private cache
-	owner   int8   // core holding the line in M/E state, -1 if none
 	// prefetched marks L3 lines brought in by the prefetcher and not
 	// yet touched by a demand access (accuracy accounting).
 	prefetched bool
+	owner      int8 // L3 directory: core holding the line in M/E state, -1 if none
+	// sharers is the L3 directory bitmask of cores with the line in a
+	// private cache.
+	sharers uint32
 }
 
-// array is one set-associative cache structure.
+// emptyLine is the payload of an invalid slot.
+var emptyLine = line{owner: -1}
+
+// noTag marks an invalid slot in the tag row. It is not line-aligned, so
+// no probe for a line address ever matches it.
+const noTag = ^memmap.Addr(0)
+
+// victim is the metadata of a slot an install replaced. tag is noTag
+// when the slot was empty.
+type victim struct {
+	tag memmap.Addr
+	line
+}
+
+// valid reports whether the replaced slot held a line.
+func (v victim) valid() bool { return v.tag != noTag }
+
+// array is one set-associative cache structure, stored as flat set-major
+// rows: slot set*ways+w is way w of set set. The tag row holds each
+// slot's line address (noTag when invalid) and the stamp row its LRU
+// stamp (0 exactly when invalid), so a probe scans only tags and victim
+// choice only stamps, without touching the payload row.
 type array struct {
-	sets    [][]line
+	tags    []memmap.Addr
+	stamps  []uint64
+	lines   []line
+	ways    int
 	setMask uint64
 	useCtr  uint64
 }
@@ -75,101 +98,88 @@ func newArray(sizeBytes, ways, lineSize int) *array {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", numSets))
 	}
-	sets := make([][]line, numSets)
-	backing := make([]line, numSets*ways)
-	for i := range sets {
-		sets[i] = backing[i*ways : (i+1)*ways]
-		for w := range sets[i] {
-			sets[i][w].owner = -1
+	a := &array{
+		tags:    make([]memmap.Addr, numSets*ways),
+		stamps:  make([]uint64, numSets*ways),
+		lines:   make([]line, numSets*ways),
+		ways:    ways,
+		setMask: uint64(numSets - 1),
+	}
+	for i := range a.tags {
+		a.tags[i] = noTag
+		a.lines[i] = emptyLine
+	}
+	return a
+}
+
+// setOf returns the index of the first slot of lineAddr's set.
+func (a *array) setOf(lineAddr memmap.Addr) int {
+	return int((uint64(lineAddr)>>6)&a.setMask) * a.ways
+}
+
+// probe resolves lineAddr's set once and returns the index of its first
+// slot together with the slot holding lineAddr (-1 on a miss).
+// Hierarchy.Access reuses the set index for victim choice and install,
+// so one access walks each array's set index a single time.
+func (a *array) probe(lineAddr memmap.Addr) (set, slot int) {
+	set = a.setOf(lineAddr)
+	for w, t := range a.tags[set : set+a.ways] {
+		if t == lineAddr {
+			return set, set + w
 		}
 	}
-	return &array{sets: sets, setMask: uint64(numSets - 1)}
+	return set, -1
 }
 
-func (a *array) setFor(lineAddr memmap.Addr) []line {
-	return a.sets[(uint64(lineAddr)>>6)&a.setMask]
-}
-
-// probe resolves lineAddr's set once and returns it together with the
-// line holding lineAddr (nil on a miss). Hierarchy.Access reuses the
-// returned set slice for victim choice and install, so one access walks
-// each array's set index a single time. The slice aliases the array's
-// live backing store — later mutations (evictions, back-invalidations)
-// are visible through it, never stale.
-func (a *array) probe(lineAddr memmap.Addr) (set []line, l *line) {
-	set = a.sets[(uint64(lineAddr)>>6)&a.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			return set, &set[i]
-		}
-	}
-	return set, nil
-}
-
-// lookup returns the line holding lineAddr, or nil.
+// lookup returns the payload of the slot holding lineAddr, or nil.
 func (a *array) lookup(lineAddr memmap.Addr) *line {
-	_, l := a.probe(lineAddr)
-	return l
+	if _, slot := a.probe(lineAddr); slot >= 0 {
+		return &a.lines[slot]
+	}
+	return nil
 }
 
-// touch refreshes the LRU stamp of l.
-func (a *array) touch(l *line) {
+// touch refreshes the LRU stamp of slot.
+func (a *array) touch(slot int) {
 	a.useCtr++
-	l.lru = a.useCtr
+	a.stamps[slot] = a.useCtr
 }
 
-// victimIn returns the line to replace in a precomputed set: an invalid
-// slot if one exists, otherwise the least recently used line.
-func victimIn(set []line) *line {
-	var lru *line
-	for i := range set {
-		if !set[i].valid {
-			return &set[i]
-		}
-		if lru == nil || set[i].lru < lru.lru {
-			lru = &set[i]
+// victimIn returns the slot to replace in the set starting at set: the
+// first argmin of the stamp row. Only invalid slots have stamp 0 and
+// valid stamps are distinct, so this is the first invalid slot if one
+// exists, otherwise the least recently used line.
+func (a *array) victimIn(set int) int {
+	stamps := a.stamps[set : set+a.ways]
+	v, best := 0, stamps[0]
+	for w, s := range stamps {
+		if s < best {
+			v, best = w, s
 		}
 	}
-	return lru
+	return set + v
 }
 
-// installIn replaces the victim slot of a precomputed set with a fresh
-// line for lineAddr, returning the installed line and the evicted
-// metadata (valid=false when the slot was empty). Returning the live
-// pointer saves the lookup-after-install walk the old API forced.
-func (a *array) installIn(set []line, lineAddr memmap.Addr, st state, dirty bool) (l *line, evicted line) {
-	v := victimIn(set)
-	evicted = *v
+// installIn replaces the victim slot of the set starting at set with a
+// fresh line for lineAddr, returning the installed payload and the
+// evicted metadata.
+func (a *array) installIn(set int, lineAddr memmap.Addr, st state, dirty bool) (l *line, evicted victim) {
+	v := a.victimIn(set)
+	evicted = victim{tag: a.tags[v], line: a.lines[v]}
 	a.useCtr++
-	*v = line{tag: lineAddr, valid: true, st: st, dirty: dirty, lru: a.useCtr, owner: -1}
-	return v, evicted
+	a.tags[v] = lineAddr
+	a.stamps[v] = a.useCtr
+	a.lines[v] = line{st: st, dirty: dirty, owner: -1}
+	return &a.lines[v], evicted
 }
 
-// install replaces the victim slot in lineAddr's set and returns the
-// evicted line metadata.
-func (a *array) install(lineAddr memmap.Addr, st state, dirty bool) (evicted line) {
-	_, evicted = a.installIn(a.setFor(lineAddr), lineAddr, st, dirty)
-	return evicted
-}
-
-// invalidate drops lineAddr from the array, returning the old metadata.
+// invalidate drops lineAddr from the array, returning the old payload.
 func (a *array) invalidate(lineAddr memmap.Addr) (old line, was bool) {
-	if l := a.lookup(lineAddr); l != nil {
-		old, was = *l, true
-		*l = line{owner: -1}
+	if _, slot := a.probe(lineAddr); slot >= 0 {
+		old, was = a.lines[slot], true
+		a.tags[slot] = noTag
+		a.stamps[slot] = 0
+		a.lines[slot] = emptyLine
 	}
 	return old, was
-}
-
-// countValid returns the number of valid lines (test helper).
-func (a *array) countValid() int {
-	n := 0
-	for _, set := range a.sets {
-		for i := range set {
-			if set[i].valid {
-				n++
-			}
-		}
-	}
-	return n
 }

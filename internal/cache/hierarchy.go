@@ -181,14 +181,15 @@ func (h *Hierarchy) dropPrivate(core int, lineAddr memmap.Addr) (dirty bool) {
 	return dirty
 }
 
-// invalidateSharers drops every private copy other than keep's and updates
-// the directory entry. Dirty remote data merges into the L3 copy.
-func (h *Hierarchy) invalidateSharers(l3l *line, keep int) {
+// invalidateSharers drops every private copy of lineAddr other than
+// keep's and updates its directory entry l3l. Dirty remote data merges
+// into the L3 copy.
+func (h *Hierarchy) invalidateSharers(l3l *line, lineAddr memmap.Addr, keep int) {
 	for c := 0; c < h.cfg.NumCores; c++ {
 		if c == keep || l3l.sharers&bit(c) == 0 {
 			continue
 		}
-		if h.dropPrivate(c, l3l.tag) {
+		if h.dropPrivate(c, lineAddr) {
 			l3l.dirty = true
 		}
 		h.ctr.invalidations.Inc()
@@ -201,8 +202,8 @@ func (h *Hierarchy) invalidateSharers(l3l *line, keep int) {
 
 // evictL1 handles an L1 victim: dirty data merges into the (inclusive) L2
 // copy.
-func (h *Hierarchy) evictL1(core int, ev line) {
-	if !ev.valid || !ev.dirty {
+func (h *Hierarchy) evictL1(core int, ev victim) {
+	if !ev.valid() || !ev.dirty {
 		return
 	}
 	if l2l := h.l2[core].lookup(ev.tag); l2l != nil {
@@ -214,8 +215,8 @@ func (h *Hierarchy) evictL1(core int, ev line) {
 // evictL2 handles an L2 victim: the L1 copy is back-invalidated to keep
 // inclusion, dirty data merges into the L3 copy, and the directory entry
 // drops this core.
-func (h *Hierarchy) evictL2(core int, ev line) {
-	if !ev.valid {
+func (h *Hierarchy) evictL2(core int, ev victim) {
+	if !ev.valid() {
 		return
 	}
 	dirty := ev.dirty
@@ -238,8 +239,8 @@ func (h *Hierarchy) evictL2(core int, ev line) {
 
 // evictL3 handles an L3 victim: every private copy is back-invalidated and
 // dirty data is written back to memory.
-func (h *Hierarchy) evictL3(ev line, now uint64) {
-	if !ev.valid {
+func (h *Hierarchy) evictL3(ev victim, now uint64) {
+	if !ev.valid() {
 		return
 	}
 	dirty := ev.dirty
@@ -259,8 +260,8 @@ func (h *Hierarchy) evictL3(ev line, now uint64) {
 }
 
 // fillPrivate installs lineAddr into core's L2 and L1 with the given
-// state, reusing the set slices the access walk already resolved.
-func (h *Hierarchy) fillPrivate(core int, l1set, l2set []line, lineAddr memmap.Addr, st state) {
+// state, reusing the set indexes the access walk already resolved.
+func (h *Hierarchy) fillPrivate(core int, l1set, l2set int, lineAddr memmap.Addr, st state) {
 	_, ev2 := h.l2[core].installIn(l2set, lineAddr, st, false)
 	h.evictL2(core, ev2)
 	_, ev1 := h.l1[core].installIn(l1set, lineAddr, st, st == stModified)
@@ -272,10 +273,9 @@ func (h *Hierarchy) fillPrivate(core int, l1set, l2set []line, lineAddr memmap.A
 // backend timing.
 //
 // The walk is single-pass: each array's set index is resolved once
-// (probe), and the returned set slice is reused for lookup, victim
-// choice, and install on the way back up. The slices alias live cache
-// storage, so intervening evictions and back-invalidations remain
-// visible through them.
+// (probe) and reused for victim choice and install on the way back up.
+// Victim choice reads the set's rows at install time, so intervening
+// evictions and back-invalidations are always seen.
 func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) AccessResult {
 	lineAddr := memmap.LineAddr(addr)
 	res := AccessResult{}
@@ -283,9 +283,11 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 	h.ctr.l1Access.Inc()
 
 	// L1 probe.
-	l1set, l1l := h.l1[core].probe(lineAddr)
-	if l1l != nil {
-		h.l1[core].touch(l1l)
+	l1 := h.l1[core]
+	l1set, l1slot := l1.probe(lineAddr)
+	if l1slot >= 0 {
+		l1.touch(l1slot)
+		l1l := &l1.lines[l1slot]
 		h.ctr.l1Hit.Inc()
 		if !write {
 			res.Level = LevelL1
@@ -311,7 +313,7 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 		res.CoherenceExtra += up
 		h.ctr.upgrades.Inc()
 		if l3l := h.l3.lookup(lineAddr); l3l != nil {
-			h.invalidateSharers(l3l, core)
+			h.invalidateSharers(l3l, lineAddr, core)
 			l3l.owner = int8(core)
 			l3l.sharers = bit(core)
 		}
@@ -329,9 +331,11 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 	// L2 probe.
 	res.Latency += h.cfg.L2Lat
 	h.ctr.l2Access.Inc()
-	l2set, l2l := h.l2[core].probe(lineAddr)
-	if l2l != nil {
-		h.l2[core].touch(l2l)
+	l2 := h.l2[core]
+	l2set, l2slot := l2.probe(lineAddr)
+	if l2slot >= 0 {
+		l2.touch(l2slot)
+		l2l := &l2.lines[l2slot]
 		h.ctr.l2Hit.Inc()
 		st := l2l.st
 		if write {
@@ -341,7 +345,7 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 				res.CoherenceExtra += up
 				h.ctr.upgrades.Inc()
 				if l3l := h.l3.lookup(lineAddr); l3l != nil {
-					h.invalidateSharers(l3l, core)
+					h.invalidateSharers(l3l, lineAddr, core)
 					l3l.owner = int8(core)
 					l3l.sharers = bit(core)
 				}
@@ -352,7 +356,7 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 			l2l.st = stModified
 			l2l.dirty = true
 		}
-		_, ev1 := h.l1[core].installIn(l1set, lineAddr, st, st == stModified && write)
+		_, ev1 := l1.installIn(l1set, lineAddr, st, st == stModified && write)
 		h.evictL1(core, ev1)
 		res.Level = LevelL2
 		res.WalkLatency = res.Latency
@@ -363,9 +367,10 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 	// L3 probe.
 	res.Latency += h.cfg.L3Lat
 	h.ctr.l3Access.Inc()
-	l3set, l3l := h.l3.probe(lineAddr)
-	if l3l != nil {
-		h.l3.touch(l3l)
+	l3set, l3slot := h.l3.probe(lineAddr)
+	if l3slot >= 0 {
+		h.l3.touch(l3slot)
+		l3l := &h.l3.lines[l3slot]
 		h.ctr.l3Hit.Inc()
 		if l3l.prefetched {
 			l3l.prefetched = false
@@ -404,7 +409,7 @@ func (h *Hierarchy) Access(core int, addr memmap.Addr, write bool, now uint64) A
 		}
 		var st state
 		if write {
-			h.invalidateSharers(l3l, core)
+			h.invalidateSharers(l3l, lineAddr, core)
 			l3l.owner = int8(core)
 			l3l.sharers = bit(core)
 			st = stModified
@@ -468,107 +473,152 @@ func (h *Hierarchy) Probe(core int, addr memmap.Addr) (Level, bool) {
 	return LevelMem, false
 }
 
-// checkPrivateLine validates the per-line invariants of a private (L1 or
-// L2) array slot: valid lines carry a real MESI state, the dirty bit
-// implies Modified (in particular no dirty Shared line can exist — a
-// Shared line lost write permission, so dirty data in it would be lost
-// silently on eviction), and the directory fields stay untouched, since
-// only the L3 array holds directory state.
-func checkPrivateLine(level string, core int, l line) error {
-	if !l.valid {
-		if l.dirty || l.sharers != 0 || l.owner != -1 {
-			return fmt.Errorf("%s core %d: invalid slot %#x retains state (dirty=%v sharers=%#x owner=%d)",
-				level, core, l.tag, l.dirty, l.sharers, l.owner)
-		}
-		return nil
+// slotName locates slot of a for audit messages; core < 0 names the
+// shared L3.
+func (a *array) slotName(level string, core, slot int) string {
+	if core < 0 {
+		return fmt.Sprintf("%s set %d way %d", level, slot/a.ways, slot%a.ways)
 	}
+	return fmt.Sprintf("%s core %d set %d way %d", level, core, slot/a.ways, slot%a.ways)
+}
+
+// checkRows validates the array's tag and stamp rows against each other
+// and against the payload row. A slot is invalid exactly when its tag row
+// holds noTag and its stamp is 0, and an invalid slot carries the empty
+// payload. A valid slot's tag is a line address of the set it sits in,
+// appears once in that set, and carries a stamp in [1, useCtr]. Victim
+// choice (first argmin of the stamp row) is "first invalid slot, else
+// LRU" only while these hold.
+func (a *array) checkRows(level string, core int) error {
+	for i, tag := range a.tags {
+		stamp := a.stamps[i]
+		if tag == noTag {
+			if stamp != 0 {
+				return fmt.Errorf("%s: tag row marks the slot invalid but its stamp is %d",
+					a.slotName(level, core, i), stamp)
+			}
+			if l := a.lines[i]; l != emptyLine {
+				return fmt.Errorf("%s: invalid slot retains state (st=%v dirty=%v sharers=%#x owner=%d prefetched=%v)",
+					a.slotName(level, core, i), l.st, l.dirty, l.sharers, l.owner, l.prefetched)
+			}
+			continue
+		}
+		if stamp == 0 || stamp > a.useCtr {
+			return fmt.Errorf("%s: tag row holds %#x but its stamp %d is outside [1, %d]",
+				a.slotName(level, core, i), tag, stamp, a.useCtr)
+		}
+		set := i - i%a.ways
+		if memmap.LineAddr(tag) != tag || a.setOf(tag) != set {
+			return fmt.Errorf("%s: tag row holds %#x, not a line address of this set",
+				a.slotName(level, core, i), tag)
+		}
+		for j := set; j < i; j++ {
+			if a.tags[j] == tag {
+				return fmt.Errorf("%s: tag row holds %#x, already held by way %d",
+					a.slotName(level, core, i), tag, j-set)
+			}
+		}
+	}
+	return nil
+}
+
+// checkPrivateLine validates the per-line invariants of a valid private
+// (L1 or L2) slot: it carries a real MESI state, the dirty bit implies
+// Modified (in particular no dirty Shared line can exist — a Shared line
+// lost write permission, so dirty data in it would be lost silently on
+// eviction), and the directory fields stay untouched, since only the L3
+// array holds directory state.
+func checkPrivateLine(level string, core int, tag memmap.Addr, l line) error {
 	if l.st == stInvalid {
-		return fmt.Errorf("%s line %#x of core %d is valid but in state I", level, l.tag, core)
+		return fmt.Errorf("%s line %#x of core %d is valid but in state I", level, tag, core)
 	}
 	if l.dirty && l.st != stModified {
 		return fmt.Errorf("%s line %#x of core %d is dirty in state %v (dirty implies M)",
-			level, l.tag, core, l.st)
+			level, tag, core, l.st)
 	}
-	if l.sharers != 0 || l.owner != -1 {
-		return fmt.Errorf("%s line %#x of core %d carries directory state (sharers=%#x owner=%d)",
-			level, l.tag, core, l.sharers, l.owner)
+	if l.sharers != 0 || l.owner != -1 || l.prefetched {
+		return fmt.Errorf("%s line %#x of core %d carries L3-only state (sharers=%#x owner=%d prefetched=%v)",
+			level, tag, core, l.sharers, l.owner, l.prefetched)
 	}
 	return nil
 }
 
 // CheckInvariants validates MESI/inclusion/directory invariants across
-// the whole hierarchy. The internal/check sanitizer registers it as the
-// "cache" auditor; tests also call it directly after randomized access
-// sequences. It is read-only.
+// the whole hierarchy, after checking every array's tag and stamp rows
+// (checkRows). The internal/check sanitizer registers it as the "cache"
+// auditor; tests also call it directly after randomized access sequences.
+// It is read-only.
 func (h *Hierarchy) CheckInvariants() error {
-	// Collect every private line and check per-line state consistency,
-	// inclusion, and the directory view.
 	for c := 0; c < h.cfg.NumCores; c++ {
-		for _, set := range h.l1[c].sets {
-			for i := range set {
-				l := set[i]
-				if err := checkPrivateLine("L1", c, l); err != nil {
-					return err
-				}
-				if !l.valid {
-					continue
-				}
-				l2l := h.l2[c].lookup(l.tag)
-				if l2l == nil {
-					return fmt.Errorf("L1 line %#x of core %d not in L2 (inclusion)", l.tag, c)
-				}
-				if l.st == stModified && l2l.st != stModified {
-					return fmt.Errorf("L1 line %#x of core %d is M but L2 copy is %v", l.tag, c, l2l.st)
-				}
+		if err := h.l1[c].checkRows("L1", c); err != nil {
+			return err
+		}
+		if err := h.l2[c].checkRows("L2", c); err != nil {
+			return err
+		}
+	}
+	if err := h.l3.checkRows("L3", -1); err != nil {
+		return err
+	}
+	// Check every valid private line's state, inclusion, and the
+	// directory view.
+	for c := 0; c < h.cfg.NumCores; c++ {
+		l1 := h.l1[c]
+		for i, tag := range l1.tags {
+			if tag == noTag {
+				continue
+			}
+			l := l1.lines[i]
+			if err := checkPrivateLine("L1", c, tag, l); err != nil {
+				return err
+			}
+			l2l := h.l2[c].lookup(tag)
+			if l2l == nil {
+				return fmt.Errorf("L1 line %#x of core %d not in L2 (inclusion)", tag, c)
+			}
+			if l.st == stModified && l2l.st != stModified {
+				return fmt.Errorf("L1 line %#x of core %d is M but L2 copy is %v", tag, c, l2l.st)
 			}
 		}
-		for _, set := range h.l2[c].sets {
-			for i := range set {
-				l := set[i]
-				if err := checkPrivateLine("L2", c, l); err != nil {
-					return err
-				}
-				if !l.valid {
-					continue
-				}
-				l3l := h.l3.lookup(l.tag)
-				if l3l == nil {
-					return fmt.Errorf("L2 line %#x of core %d not in L3 (inclusion)", l.tag, c)
-				}
-				if l3l.sharers&bit(c) == 0 {
-					return fmt.Errorf("L2 line %#x of core %d missing from directory", l.tag, c)
-				}
-				if (l.st == stModified || l.st == stExclusive) && l3l.sharers&^bit(c) != 0 {
-					return fmt.Errorf("line %#x is %v in core %d but has other sharers %#x",
-						l.tag, l.st, c, l3l.sharers&^bit(c))
-				}
+		l2 := h.l2[c]
+		for i, tag := range l2.tags {
+			if tag == noTag {
+				continue
+			}
+			l := l2.lines[i]
+			if err := checkPrivateLine("L2", c, tag, l); err != nil {
+				return err
+			}
+			l3l := h.l3.lookup(tag)
+			if l3l == nil {
+				return fmt.Errorf("L2 line %#x of core %d not in L3 (inclusion)", tag, c)
+			}
+			if l3l.sharers&bit(c) == 0 {
+				return fmt.Errorf("L2 line %#x of core %d missing from directory", tag, c)
+			}
+			if (l.st == stModified || l.st == stExclusive) && l3l.sharers&^bit(c) != 0 {
+				return fmt.Errorf("line %#x is %v in core %d but has other sharers %#x",
+					tag, l.st, c, l3l.sharers&^bit(c))
 			}
 		}
 	}
-	// Directory entries must be backed by actual private copies, and
-	// invalid L3 slots must carry no directory state at all.
-	for _, set := range h.l3.sets {
-		for i := range set {
-			l := set[i]
-			if !l.valid {
-				if l.dirty || l.sharers != 0 || l.owner != -1 {
-					return fmt.Errorf("invalid L3 slot %#x retains state (dirty=%v sharers=%#x owner=%d)",
-						l.tag, l.dirty, l.sharers, l.owner)
-				}
-				continue
+	// Directory entries must be backed by actual private copies.
+	for i, tag := range h.l3.tags {
+		if tag == noTag {
+			continue
+		}
+		l := h.l3.lines[i]
+		if l.sharers>>uint(h.cfg.NumCores) != 0 {
+			return fmt.Errorf("directory entry %#x names nonexistent cores (sharers=%#x, %d cores)",
+				tag, l.sharers, h.cfg.NumCores)
+		}
+		for c := 0; c < h.cfg.NumCores; c++ {
+			if l.sharers&bit(c) != 0 && h.l2[c].lookup(tag) == nil {
+				return fmt.Errorf("directory says core %d shares %#x but L2 has no copy", c, tag)
 			}
-			if l.sharers>>uint(h.cfg.NumCores) != 0 {
-				return fmt.Errorf("directory entry %#x names nonexistent cores (sharers=%#x, %d cores)",
-					l.tag, l.sharers, h.cfg.NumCores)
-			}
-			for c := 0; c < h.cfg.NumCores; c++ {
-				if l.sharers&bit(c) != 0 && h.l2[c].lookup(l.tag) == nil {
-					return fmt.Errorf("directory says core %d shares %#x but L2 has no copy", c, l.tag)
-				}
-			}
-			if l.owner >= 0 && l.sharers&bit(int(l.owner)) == 0 {
-				return fmt.Errorf("owner %d of %#x is not a sharer", l.owner, l.tag)
-			}
+		}
+		if l.owner >= 0 && l.sharers&bit(int(l.owner)) == 0 {
+			return fmt.Errorf("owner %d of %#x is not a sharer", l.owner, tag)
 		}
 	}
 	return nil
@@ -579,21 +629,19 @@ func (h *Hierarchy) CheckInvariants() error {
 // catches directory drift. It reports whether a target line existed.
 // Test-only; never call from simulation code.
 func (h *Hierarchy) CorruptDirectoryForTest() bool {
-	for _, set := range h.l3.sets {
-		for i := range set {
-			l := &set[i]
-			if !l.valid {
-				continue
-			}
-			for c := 0; c < h.cfg.NumCores; c++ {
-				if l.sharers&bit(c) == 0 {
-					l.sharers |= bit(c) // phantom sharer with no private copy
-					return true
-				}
-			}
-			l.sharers &^= bit(0) // every core shares: drop one instead
-			return true
+	for i, tag := range h.l3.tags {
+		if tag == noTag {
+			continue
 		}
+		l := &h.l3.lines[i]
+		for c := 0; c < h.cfg.NumCores; c++ {
+			if l.sharers&bit(c) == 0 {
+				l.sharers |= bit(c) // phantom sharer with no private copy
+				return true
+			}
+		}
+		l.sharers &^= bit(0) // every core shares: drop one instead
+		return true
 	}
 	return false
 }

@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"graphpim/internal/memmap"
 	"graphpim/internal/sim"
@@ -317,15 +319,13 @@ func TestInvalidSlotStateCaught(t *testing.T) {
 	populate(h)
 	// An invalid L3 slot that still names a sharer is stale directory
 	// state a future install would resurrect.
-	for _, set := range h.l3.sets {
-		for i := range set {
-			if !set[i].valid {
-				set[i].sharers = bit(0)
-				if err := h.CheckInvariants(); err == nil {
-					t.Fatal("invalid slot with sharers passed CheckInvariants")
-				}
-				return
+	for i, tag := range h.l3.tags {
+		if tag == noTag {
+			h.l3.lines[i].sharers = bit(0)
+			if err := h.CheckInvariants(); err == nil {
+				t.Fatal("invalid slot with sharers passed CheckInvariants")
 			}
+			return
 		}
 	}
 	t.Skip("no invalid L3 slot available")
@@ -334,17 +334,111 @@ func TestInvalidSlotStateCaught(t *testing.T) {
 func TestValidLineInStateICaught(t *testing.T) {
 	h, _, _ := newH(1)
 	populate(h)
-	for _, set := range h.l1[0].sets {
-		for i := range set {
-			if set[i].valid {
-				set[i].st = stInvalid
-				set[i].dirty = false
-				if err := h.CheckInvariants(); err == nil {
-					t.Fatal("valid line in state I passed CheckInvariants")
-				}
-				return
+	for i, tag := range h.l1[0].tags {
+		if tag != noTag {
+			h.l1[0].lines[i].st = stInvalid
+			h.l1[0].lines[i].dirty = false
+			if err := h.CheckInvariants(); err == nil {
+				t.Fatal("valid line in state I passed CheckInvariants")
 			}
+			return
 		}
 	}
 	t.Fatal("no valid L1 line")
+}
+
+// TestTagRowCorruptionCaught damages one entry of a tag or stamp row and
+// requires the auditor to name the damaged slot.
+func TestTagRowCorruptionCaught(t *testing.T) {
+	firstSlot := func(a *array, valid bool) int {
+		for i, tag := range a.tags {
+			if (tag != noTag) == valid {
+				return i
+			}
+		}
+		return -1
+	}
+	cases := []struct {
+		name    string
+		corrupt func(h *Hierarchy) string // returns the slot name the error must carry
+	}{
+		{"valid slot loses its tag", func(h *Hierarchy) string {
+			a := h.l1[0]
+			i := firstSlot(a, true)
+			a.tags[i] = noTag // stamp stays nonzero
+			return a.slotName("L1", 0, i)
+		}},
+		{"invalid slot gains a tag", func(h *Hierarchy) string {
+			a := h.l3
+			i := firstSlot(a, false)
+			a.tags[i] = memmap.Addr(uint64(i/a.ways) << 6) // a line of this set, stamp 0
+			return a.slotName("L3", -1, i)
+		}},
+		{"tag in the wrong set", func(h *Hierarchy) string {
+			a := h.l2[0]
+			i := firstSlot(a, true)
+			a.tags[i] += 64
+			return a.slotName("L2", 0, i)
+		}},
+		{"stamp newer than the use counter", func(h *Hierarchy) string {
+			a := h.l2[0]
+			i := firstSlot(a, true)
+			a.stamps[i] = a.useCtr + 1
+			return a.slotName("L2", 0, i)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h, _, _ := newH(2)
+			populate(h)
+			if err := h.CheckInvariants(); err != nil {
+				t.Fatalf("clean hierarchy failed audit: %v", err)
+			}
+			where := tc.corrupt(h)
+			err := h.CheckInvariants()
+			if err == nil {
+				t.Fatal("corrupted row passed CheckInvariants")
+			}
+			if !strings.Contains(err.Error(), where+":") {
+				t.Fatalf("audit error %q does not name %s", err, where)
+			}
+		})
+	}
+}
+
+// TestVictimIsFirstInvalidElseLRU checks the stamp-row argmin against the
+// replacement rule it stands for, on every set after a random access mix.
+func TestVictimIsFirstInvalidElseLRU(t *testing.T) {
+	h, _, _ := smallH(2)
+	r := sim.NewRand(3)
+	for i := 0; i < 2000; i++ {
+		h.Access(r.Intn(2), memmap.Addr(r.Intn(256)*64), r.Intn(4) == 0, uint64(i))
+		a := h.l2[r.Intn(2)]
+		set := r.Intn(len(a.tags)/a.ways) * a.ways
+		want := -1
+		for w := set; w < set+a.ways; w++ {
+			if a.tags[w] == noTag {
+				want = w
+				break
+			}
+			if want < 0 || a.stamps[w] < a.stamps[want] {
+				want = w
+			}
+		}
+		if got := a.victimIn(set); got != want {
+			t.Fatalf("access %d: victimIn(%d) = %d, want %d", i, set, got, want)
+		}
+	}
+}
+
+// TestSlotBytes pins what one cache slot costs across the tag, stamp and
+// payload rows: 24 bytes, below the 32 of the one-struct-per-line layout
+// the rows replaced. Growing it raises the simulator's resident memory
+// for every modelled cache.
+func TestSlotBytes(t *testing.T) {
+	a := newArray(4096, 4, 64)
+	got := unsafe.Sizeof(a.tags[0]) + unsafe.Sizeof(a.stamps[0]) + unsafe.Sizeof(a.lines[0])
+	if got > 24 {
+		t.Fatalf("a cache slot costs %d bytes, want at most 24", got)
+	}
 }

@@ -22,8 +22,8 @@ type PrefetchConfig struct {
 func (h *Hierarchy) prefetch(lineAddr memmap.Addr, now uint64) {
 	for i := 1; i <= h.cfg.Prefetch.Depth; i++ {
 		next := lineAddr + memmap.Addr(i*h.cfg.LineSize)
-		set, l := h.l3.probe(next)
-		if l != nil {
+		set, slot := h.l3.probe(next)
+		if slot >= 0 {
 			h.ctr.pfRedundant.Inc()
 			continue
 		}

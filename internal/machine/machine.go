@@ -533,7 +533,7 @@ var tickCore = func(c *cpu.Core, now, elapsed uint64) uint64 {
 // exceeds maxCycles.
 //
 // Run is event-driven: each core's Tick returns the next cycle its state
-// can change, and a wake heap (sim.Wakeups) replays those times in
+// can change, and a wake queue (sim.Wakeups) replays those times in
 // (time, core-id) order — the same order the reference scan loop
 // (runScan, kept as a test shim) visits cores, so the two are
 // cycle-identical. Cores are ticked only at their own wake times; a
@@ -579,7 +579,7 @@ func (m *Machine) Run(maxCycles uint64) Result {
 	return m.result(now)
 }
 
-// stepAt drains every core due at cycle now in id order (heap ties
+// stepAt drains every core due at cycle now in id order (queue ties
 // break on id). A tick only ever schedules its own core at a future
 // time, so the set due at now is fixed before the drain.
 func (m *Machine) stepAt(now uint64, wake *sim.Wakeups, lastTick []uint64, done, parked *int) {
@@ -604,13 +604,13 @@ func (m *Machine) stepAt(now uint64, wake *sim.Wakeups, lastTick []uint64, done,
 				wake.Schedule(id, next)
 			}
 			// A live, unparked core returning no wake time is left
-			// unscheduled; the empty-heap check reports the deadlock,
+			// unscheduled; the empty-queue check reports the deadlock,
 			// as the scan loop did.
 		}
 	}
 }
 
-// releaseBarrier handles an empty wake heap: either every live core is
+// releaseBarrier handles an empty wake queue: either every live core is
 // parked at a barrier — release them all (one global barrier event) —
 // or no core can ever make progress again.
 func (m *Machine) releaseBarrier(wake *sim.Wakeups, now uint64, done int, parked *int) {
@@ -651,7 +651,7 @@ func (m *Machine) truncate(maxCycles, now uint64, lastTick []uint64) Result {
 // flushTicks advances every core that last ticked before now up to now,
 // attributing the trailing quiescent stretch to its standing stall
 // reason. The scan loop ticked all cores at every event, so its
-// attribution always reached the final event time; the wake heap skips
+// attribution always reached the final event time; the wake queue skips
 // those no-op ticks and settles the difference here in one step.
 func (m *Machine) flushTicks(now uint64, lastTick []uint64) {
 	for i, c := range m.cores {

@@ -22,7 +22,7 @@ import (
 //     one ordinary event step, identical to Run's.
 //   - Parallel epoch: otherwise the coordinator computes the epoch bound
 //     B = min over scheduled cores of LocalHorizon(wake), removes every
-//     core scheduled before B from the heap, and hands each shard its
+//     core scheduled before B from the wake queue, and hands each shard its
 //     eligible cores. Shard workers replay those cores' wake chains up
 //     to (but excluding) B; every tick they execute is core-local by the
 //     horizon proof in internal/cpu/horizon.go, so ticks of different
@@ -52,7 +52,7 @@ type shardDiag struct {
 }
 
 // epochBatch is one shard's work for one parallel epoch: the eligible
-// cores (ascending id) with their heap wake times on the way in, and
+// cores (ascending id) with their queued wake times on the way in, and
 // each core's next wake time (NoWake when the core finished or lost its
 // schedule) plus done count on the way out. Batches are recycled
 // through the coordinator-owned freelist, so steady-state epochs
@@ -257,7 +257,7 @@ func (r *shardRun) advance(b *epochBatch) {
 			}
 			if next == noWake {
 				// A live core with no self-wake: leave it unscheduled;
-				// the empty-heap check reports the deadlock exactly as
+				// the empty-queue check reports the deadlock exactly as
 				// the serial loop does.
 				break
 			}

@@ -1,146 +1,150 @@
 package sim
 
-// Wakeups is an indexed min-heap of wake times keyed by a dense actor id
-// (core id in the machine model). It is the event queue of the
-// event-driven simulation loop: each actor has at most one scheduled wake
-// time, Schedule inserts or moves it in O(log n), and PopMin yields due
-// actors ordered by (time, id).
+import (
+	"fmt"
+	"math/bits"
+)
+
+// Wakeups is the event queue of the event-driven simulation loop: one
+// optional wake time per dense actor id (core id in the machine model).
+// Each actor has at most one scheduled wake time, Schedule inserts or
+// moves it, and PopMin yields due actors ordered by (time, id).
 //
 // The (time, id) order is load-bearing for determinism: actors scheduled
 // for the same cycle are served in ascending id order, which is exactly
 // the order the legacy scan loop ticked cores. Event-driven replay is
 // therefore cycle-identical to the scan loop (see the equivalence
 // property test in internal/machine).
+//
+// Each actor's entry is one packed key, time<<shift | id, where shift is
+// bits.Len(n) for n actors, and an unscheduled actor holds noKey (^0). Because
+// ids fit below shift, comparing keys as unsigned integers compares
+// (time, id) lexicographically, so the queue minimum is a plain min over
+// at most 32 keys, with no branch per slot. The minimum is cached and
+// recomputed only after it is popped, removed or moved later.
 type Wakeups struct {
-	heap []int32  // actor ids, heap-ordered by (at[id], id)
-	pos  []int32  // actor id -> index in heap, -1 when unscheduled
-	at   []uint64 // actor id -> scheduled wake time (valid when pos >= 0)
+	keys   []uint64 // actor id -> packed key, noKey when unscheduled
+	shift  uint     // bits.Len(n): width of the id field
+	idMask uint64   // 1<<shift - 1
+	n      int      // number of scheduled actors
+	min    uint64   // cached minimum key, valid when minOK
+	minOK  bool
 }
+
+// noKey marks an unscheduled actor. No scheduled key equals it: the id
+// field of a scheduled key is at most n-1 < 1<<shift - 1.
+const noKey = ^uint64(0)
 
 // NewWakeups returns an empty queue for actor ids in [0, n).
 func NewWakeups(n int) *Wakeups {
 	w := &Wakeups{
-		heap: make([]int32, 0, n),
-		pos:  make([]int32, n),
-		at:   make([]uint64, n),
+		keys:  make([]uint64, n),
+		shift: uint(bits.Len(uint(n))),
 	}
-	for i := range w.pos {
-		w.pos[i] = -1
+	w.idMask = 1<<w.shift - 1
+	for i := range w.keys {
+		w.keys[i] = noKey
 	}
 	return w
 }
 
+// maxTime returns the largest wake time Schedule accepts: packing leaves
+// 64 - bits.Len(n) bits for the time.
+func (w *Wakeups) maxTime() uint64 { return noKey >> w.shift }
+
 // Len returns the number of scheduled actors.
-func (w *Wakeups) Len() int { return len(w.heap) }
+func (w *Wakeups) Len() int { return w.n }
 
 // Scheduled reports whether id currently has a wake time.
-func (w *Wakeups) Scheduled(id int) bool { return w.pos[id] >= 0 }
+func (w *Wakeups) Scheduled(id int) bool { return w.keys[id] != noKey }
 
 // At returns id's scheduled wake time; only meaningful when
 // Scheduled(id) is true.
-func (w *Wakeups) At(id int) uint64 { return w.at[id] }
-
-// MinID returns the actor id of the (time, id)-smallest entry. It
-// panics on an empty queue; guard with Len or Min.
-func (w *Wakeups) MinID() int { return int(w.heap[0]) }
+func (w *Wakeups) At(id int) uint64 { return w.keys[id] >> w.shift }
 
 // Schedule sets id's wake time to t, inserting the actor if absent or
-// moving it if already queued.
+// moving it if already queued. It panics if t exceeds maxTime: a wrapped
+// key would silently reorder actors due in the same cycle.
 func (w *Wakeups) Schedule(id int, t uint64) {
-	if i := w.pos[id]; i >= 0 {
-		old := w.at[id]
-		w.at[id] = t
-		if t < old {
-			w.up(int(i))
-		} else if t > old {
-			w.down(int(i))
-		}
-		return
+	if t > w.maxTime() {
+		w.overflow(id, t)
 	}
-	w.at[id] = t
-	w.pos[id] = int32(len(w.heap))
-	w.heap = append(w.heap, int32(id))
-	w.up(len(w.heap) - 1)
+	key := t<<w.shift | uint64(id)
+	old := w.keys[id]
+	if old == noKey {
+		w.n++
+	}
+	w.keys[id] = key
+	if w.minOK {
+		if key < w.min {
+			w.min = key
+		} else if old == w.min {
+			w.minOK = false
+		}
+	}
+}
+
+// overflow reports a wake time past the packed-key bound; kept out of
+// Schedule so the hot path stays small.
+func (w *Wakeups) overflow(id int, t uint64) {
+	panic(fmt.Sprintf("sim: wake time %d for actor %d exceeds the packed-key bound %d", t, id, w.maxTime()))
 }
 
 // Remove unschedules id; removing an unscheduled actor is a no-op.
 func (w *Wakeups) Remove(id int) {
-	i := int(w.pos[id])
-	if i < 0 {
+	old := w.keys[id]
+	if old == noKey {
 		return
 	}
-	last := len(w.heap) - 1
-	w.swap(i, last)
-	w.heap = w.heap[:last]
-	w.pos[id] = -1
-	if i < last {
-		w.down(i)
-		w.up(i)
+	w.keys[id] = noKey
+	w.n--
+	if old == w.min {
+		w.minOK = false
 	}
+}
+
+// minKey returns the (time, id)-smallest key, noKey on an empty queue.
+func (w *Wakeups) minKey() uint64 {
+	if !w.minOK {
+		m := noKey
+		for _, k := range w.keys {
+			m = min(m, k)
+		}
+		w.min, w.minOK = m, true
+	}
+	return w.min
 }
 
 // Min returns the earliest scheduled wake time; ok is false when the
 // queue is empty.
 func (w *Wakeups) Min() (t uint64, ok bool) {
-	if len(w.heap) == 0 {
+	k := w.minKey()
+	if k == noKey {
 		return 0, false
 	}
-	return w.at[w.heap[0]], true
+	return k >> w.shift, true
+}
+
+// MinID returns the actor id of the (time, id)-smallest entry. It
+// panics on an empty queue; guard with Len or Min.
+func (w *Wakeups) MinID() int {
+	k := w.minKey()
+	if k == noKey {
+		panic("sim: MinID on an empty wake queue")
+	}
+	return int(k & w.idMask)
 }
 
 // PopMin removes and returns the (time, id)-smallest entry. It panics on
 // an empty queue; guard with Len or Min.
 func (w *Wakeups) PopMin() (id int, t uint64) {
-	root := w.heap[0]
-	id, t = int(root), w.at[root]
-	last := len(w.heap) - 1
-	w.swap(0, last)
-	w.heap = w.heap[:last]
-	w.pos[root] = -1
-	if last > 0 {
-		w.down(0)
+	k := w.minKey()
+	if k == noKey {
+		panic("sim: PopMin on an empty wake queue")
 	}
-	return id, t
-}
-
-func (w *Wakeups) less(i, j int) bool {
-	a, b := w.heap[i], w.heap[j]
-	ta, tb := w.at[a], w.at[b]
-	return ta < tb || (ta == tb && a < b)
-}
-
-func (w *Wakeups) swap(i, j int) {
-	w.heap[i], w.heap[j] = w.heap[j], w.heap[i]
-	w.pos[w.heap[i]] = int32(i)
-	w.pos[w.heap[j]] = int32(j)
-}
-
-func (w *Wakeups) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !w.less(i, parent) {
-			break
-		}
-		w.swap(i, parent)
-		i = parent
-	}
-}
-
-func (w *Wakeups) down(i int) {
-	n := len(w.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && w.less(l, min) {
-			min = l
-		}
-		if r < n && w.less(r, min) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		w.swap(i, min)
-		i = min
-	}
+	id = int(k & w.idMask)
+	w.keys[id] = noKey
+	w.n--
+	w.minOK = false
+	return id, k >> w.shift
 }

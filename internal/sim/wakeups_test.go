@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/bits"
+	"testing"
+)
 
 func TestWakeupsBasicOrder(t *testing.T) {
 	w := NewWakeups(4)
@@ -69,11 +72,36 @@ func TestWakeupsRemove(t *testing.T) {
 	}
 }
 
-// TestWakeupsRandomizedAgainstModel drives the heap and a naive
+// TestWakeupsRandomizedAgainstModel drives the queue and a naive
 // linear-scan model with the same random operation stream and checks
-// every pop agrees, including the (time, id) tie-break.
+// every pop agrees, including the (time, id) tie-break. It covers the
+// machine's largest core count (32, where the id field widens to 6 bits)
+// and wake times at the top of the packed-key range.
 func TestWakeupsRandomizedAgainstModel(t *testing.T) {
-	const n = 24
+	for _, tc := range []struct {
+		name    string
+		n       int
+		nearTop bool
+	}{
+		{"n24", 24, false},
+		{"n32", 32, false},
+		{"n1", 1, false},
+		{"n16-near-bound", 16, true},
+		{"n32-near-bound", 32, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var base uint64
+			if tc.nearTop {
+				base = NewWakeups(tc.n).maxTime() - 999
+			}
+			checkWakeupsAgainstModel(t, tc.n, base)
+		})
+	}
+}
+
+// checkWakeupsAgainstModel runs the randomized comparison with wake
+// times drawn from [base, base+1000).
+func checkWakeupsAgainstModel(t *testing.T, n int, base uint64) {
 	r := NewRand(7)
 	w := NewWakeups(n)
 	model := make(map[int]uint64)
@@ -93,10 +121,10 @@ func TestWakeupsRandomizedAgainstModel(t *testing.T) {
 	}
 
 	for step := 0; step < 20000; step++ {
-		switch r.Intn(4) {
+		switch r.Intn(5) {
 		case 0, 1: // schedule / reschedule
 			id := r.Intn(n)
-			tt := r.Uint64() % 1000
+			tt := base + r.Uint64()%1000
 			w.Schedule(id, tt)
 			model[id] = tt
 		case 2: // remove
@@ -111,14 +139,101 @@ func TestWakeupsRandomizedAgainstModel(t *testing.T) {
 			if !mOK {
 				continue
 			}
+			if got := w.MinID(); got != mID {
+				t.Fatalf("step %d: MinID = %d, model %d", step, got, mID)
+			}
 			id, tt := w.PopMin()
 			if id != mID || tt != mT {
 				t.Fatalf("step %d: PopMin = (%d,%d), model (%d,%d)", step, id, tt, mID, mT)
 			}
 			delete(model, id)
+		case 4: // point queries
+			id := r.Intn(n)
+			mt, in := model[id]
+			if w.Scheduled(id) != in || (in && w.At(id) != mt) {
+				t.Fatalf("step %d: actor %d Scheduled/At = %v/%d, model %v/%d",
+					step, id, w.Scheduled(id), w.At(id), in, mt)
+			}
 		}
 		if w.Len() != len(model) {
 			t.Fatalf("step %d: Len = %d, model %d", step, w.Len(), len(model))
 		}
+	}
+}
+
+// TestWakeupsScheduleBoundPanics pins the packed-key bound: the largest
+// representable time is accepted and keeps the id tie-break, and one
+// past it panics instead of wrapping into a key that would reorder
+// actors due in the same cycle.
+func TestWakeupsScheduleBoundPanics(t *testing.T) {
+	for _, n := range []int{2, 16, 31, 32} {
+		w := NewWakeups(n)
+		top := w.maxTime()
+		if want := ^uint64(0) >> bits.Len(uint(n)); top != want {
+			t.Fatalf("n=%d: maxTime = %d, want %d", n, top, want)
+		}
+		w.Schedule(n-1, top)
+		w.Schedule(0, top)
+		if id, tt := w.PopMin(); id != 0 || tt != top {
+			t.Fatalf("n=%d: pop = (%d,%d), want (0,%d)", n, id, tt, top)
+		}
+		if id, tt := w.PopMin(); id != n-1 || tt != top {
+			t.Fatalf("n=%d: pop = (%d,%d), want (%d,%d)", n, id, tt, n-1, top)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("n=%d: Schedule(%d) past the bound did not panic", n, top+1)
+				}
+			}()
+			w.Schedule(0, top+1)
+		}()
+		if w.Len() != 0 || w.Scheduled(0) {
+			t.Fatalf("n=%d: panicking Schedule changed the queue", n)
+		}
+	}
+}
+
+// TestWakeupsEmptyPanics checks MinID and PopMin refuse an empty queue
+// rather than return a sentinel id.
+func TestWakeupsEmptyPanics(t *testing.T) {
+	for name, f := range map[string]func(w *Wakeups){
+		"MinID":  func(w *Wakeups) { w.MinID() },
+		"PopMin": func(w *Wakeups) { w.PopMin() },
+	} {
+		w := NewWakeups(4)
+		w.Schedule(2, 5)
+		w.PopMin()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on an empty queue did not panic", name)
+				}
+			}()
+			f(w)
+		}()
+	}
+}
+
+// BenchmarkWakeups replays the machine loop's access pattern (stepAt):
+// 16 actors, each due actor found with Min, popped, and rescheduled a
+// short pseudo-random distance ahead.
+func BenchmarkWakeups(b *testing.B) {
+	const n = 16
+	r := NewRand(11)
+	deltas := make([]uint64, 1024)
+	for i := range deltas {
+		deltas[i] = 1 + r.Uint64()%64
+	}
+	w := NewWakeups(n)
+	for i := 0; i < n; i++ {
+		w.Schedule(i, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now, _ := w.Min()
+		id, _ := w.PopMin()
+		w.Schedule(id, now+deltas[i&(len(deltas)-1)])
 	}
 }
