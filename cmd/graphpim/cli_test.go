@@ -89,6 +89,25 @@ func TestWorkloadRejectsBadMem(t *testing.T) {
 	}
 }
 
+// TestWorkloadRejectsBadConfig pins the exit-2 path for an invalid
+// -config: it must fail before any graph is built or simulated, with the
+// same message shape as -mem and -policy.
+func TestWorkloadRejectsBadConfig(t *testing.T) {
+	out, stderr, code := runCLI("workload", "-config", "bogus", "BFS")
+	if code != 2 {
+		t.Fatalf("exit code %d, want 2", code)
+	}
+	if !strings.Contains(stderr, `workload: unknown config "bogus"`) {
+		t.Fatalf("unhelpful message %q", stderr)
+	}
+	if !strings.Contains(stderr, "valid configs: baseline, upei, graphpim") {
+		t.Fatalf("valid-config list missing:\n%s", stderr)
+	}
+	if out != "" {
+		t.Fatalf("a rejected -config still printed a report:\n%s", out)
+	}
+}
+
 // TestRunRejectsBadMem pins the exit-2 path for `run -mem`: the message
 // names the bad kind and lists the valid ones in registry order.
 func TestRunRejectsBadMem(t *testing.T) {
@@ -152,6 +171,14 @@ func TestRunRejectsBadFormat(t *testing.T) {
 	}
 	if !strings.Contains(stderr, `invalid -format "yaml"`) {
 		t.Fatalf("unhelpful message %q", stderr)
+	}
+	// CSV output is spelled -format csv; there is no -csv flag.
+	_, stderr, code = runCLI("run", "-csv", "all")
+	if code != 2 {
+		t.Fatalf("-csv: exit code %d, want 2", code)
+	}
+	if !strings.Contains(stderr, "flag provided but not defined: -csv") {
+		t.Fatalf("-csv: unhelpful message %q", stderr)
 	}
 }
 
@@ -231,59 +258,5 @@ func TestRunOutReplayRoundTrip(t *testing.T) {
 	// Asking for an experiment the run directory does not hold fails.
 	if _, _, badCode := runCLI("replay", "-in", dir, "fig7-speedup"); badCode != 2 {
 		t.Fatalf("replay of unrecorded experiment: exit code %d, want 2", badCode)
-	}
-}
-
-// TestRunJSONDeterministicAcrossShards is the satellite acceptance
-// test for the epoch-sharded scheduler at the CLI boundary: `run
-// -format json` output must be byte-identical at -shards 1, 2, and 8
-// (and at the auto setting, -shards 0).
-func TestRunJSONDeterministicAcrossShards(t *testing.T) {
-	render := func(shards string) string {
-		out, stderr, code := runCLI("run", "-quick", "-q", "-format", "json",
-			"-shards", shards, "ext-dependent-block", "table1-hmc-atomics")
-		if code != 0 {
-			t.Fatalf("-shards %s failed (%d): %s", shards, code, stderr)
-		}
-		return out
-	}
-	ref := render("1")
-	for _, s := range []string{"2", "8", "0"} {
-		if got := render(s); got != ref {
-			t.Fatalf("-format json differs between -shards 1 and -shards %s:\n--- 1 ---\n%s\n--- %s ---\n%s",
-				s, ref, s, got)
-		}
-	}
-}
-
-func TestRunRejectsNegativeShards(t *testing.T) {
-	_, stderr, code := runCLI("run", "-shards", "-2", "all")
-	if code != 2 {
-		t.Fatalf("exit code %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "-shards must be non-negative") {
-		t.Fatalf("unhelpful message %q", stderr)
-	}
-	_, stderr, code = runCLI("workload", "-shards", "-2", "bfs")
-	if code != 2 {
-		t.Fatalf("workload: exit code %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "-shards must be non-negative") {
-		t.Fatalf("workload: unhelpful message %q", stderr)
-	}
-}
-
-// TestWorkloadShardsIdentity: the workload subcommand's human-readable
-// report is also invariant under sharding.
-func TestWorkloadShardsIdentity(t *testing.T) {
-	render := func(shards string) string {
-		out, stderr, code := runCLI("workload", "-quick", "-shards", shards, "BFS")
-		if code != 0 {
-			t.Fatalf("-shards %s failed (%d): %s", shards, code, stderr)
-		}
-		return out
-	}
-	if s1, s8 := render("1"), render("8"); s1 != s8 {
-		t.Fatalf("workload output differs between -shards 1 and 8:\n--- 1 ---\n%s\n--- 8 ---\n%s", s1, s8)
 	}
 }

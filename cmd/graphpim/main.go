@@ -111,8 +111,6 @@ run/workload flags:
   -vertices N      LDBC graph size (default 16384)
   -seed S          generator seed (default 7)
   -j N             parallel workers for simulation cells (default: all CPUs)
-  -shards N        scheduler shards inside each simulation: 1 serial,
-                   0 auto (all CPUs); results are byte-identical at any N
   -stream          build traces through the bounded-buffer streaming
                    pipeline (spill file + chunked replay): byte-identical
                    tables, peak memory bounded by graph + chunk buffers
@@ -171,15 +169,6 @@ func validFormat(f string) bool {
 	return f == "text" || f == "json" || f == "csv"
 }
 
-// resolveShards maps the -shards flag to a machine shard count: 0 asks
-// for one shard per host CPU (machine.New clamps to the core count).
-func resolveShards(n int) int {
-	if n == 0 {
-		return runtime.NumCPU()
-	}
-	return n
-}
-
 // flagValues snapshots every flag of fs (set or default) for the run
 // manifest.
 func flagValues(fs *flag.FlagSet) map[string]string {
@@ -198,6 +187,23 @@ func checkPolicy(sub, policy string, stderr io.Writer) bool {
 	fmt.Fprintf(stderr, "%s: unknown placement policy %q\n", sub, policy)
 	fmt.Fprintln(stderr, "valid policies: auto, host, pim, upei")
 	return false
+}
+
+// parseConfig resolves the workload -config flag; an unknown config
+// reports the valid values and returns false for a usage (exit 2)
+// failure.
+func parseConfig(name string, stderr io.Writer) (graphpim.Config, bool) {
+	switch name {
+	case "baseline":
+		return graphpim.ConfigBaseline, true
+	case "upei":
+		return graphpim.ConfigUPEI, true
+	case "graphpim":
+		return graphpim.ConfigGraphPIM, true
+	}
+	fmt.Fprintf(stderr, "workload: unknown config %q\n", name)
+	fmt.Fprintln(stderr, "valid configs: baseline, upei, graphpim")
+	return "", false
 }
 
 // checkMemKind validates a -mem flag value against the backend registry;
@@ -241,14 +247,12 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	vertices := fs.Int("vertices", 0, "LDBC graph size override")
 	seed := fs.Uint64("seed", 0, "generator seed override")
 	format := fs.String("format", "text", "output format: text|json|csv")
-	csv := fs.Bool("csv", false, "deprecated alias for -format csv")
 	outDir := fs.String("out", "", "write JSONL records + manifest.json to this directory")
 	checkOn := fs.Bool("check", false, "enable simulation sanitizer audits (slower, identical output)")
 	quiet := fs.Bool("q", false, "suppress progress output")
 	cpuprofile := fs.String("cpuprofile", "", "write CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write heap profile to this file")
 	workers := fs.Int("j", runtime.NumCPU(), "parallel workers for simulation cells")
-	shards := fs.Int("shards", 1, "scheduler shards per simulation (1 serial, 0 auto)")
 	stream := fs.Bool("stream", false, "stream traces through a bounded spill file (identical output, lower peak memory)")
 	memKind := fs.String("mem", "hmc", "memory backend kind for every simulation")
 	policy := fs.String("policy", "", "placement policy override for offload cells: auto|host|pim|upei")
@@ -264,13 +268,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if *workers < 1 {
 		fmt.Fprintf(stderr, "run: -j must be at least 1 (got %d); use -j 1 for a serial run\n", *workers)
 		return 2
-	}
-	if *shards < 0 {
-		fmt.Fprintf(stderr, "run: -shards must be non-negative (got %d); use 0 for one shard per CPU\n", *shards)
-		return 2
-	}
-	if *csv {
-		*format = "csv"
 	}
 	if !validFormat(*format) {
 		fmt.Fprintf(stderr, "run: invalid -format %q (valid: text, json, csv)\n", *format)
@@ -289,7 +286,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	env := makeEnv(*quick, *vertices, *seed)
 	env.Parallelism = *workers
 	env.Check = *checkOn
-	env.Shards = resolveShards(*shards)
 	env.Stream = *stream
 	if *memKind != "hmc" {
 		// "hmc" stays "" so manifests and goldens of default runs keep
@@ -492,7 +488,6 @@ func cmdWorkload(args []string, stdout, stderr io.Writer) int {
 	policy := fs.String("policy", "", "placement policy override: auto|host|pim|upei")
 	memKind := fs.String("mem", "hmc", "memory backend kind")
 	checkOn := fs.Bool("check", false, "enable simulation sanitizer audits (slower, identical output)")
-	shards := fs.Int("shards", 1, "scheduler shards per simulation (1 serial, 0 auto)")
 	stream := fs.Bool("stream", false, "stream the trace through a bounded spill file (identical output, lower peak memory)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -501,14 +496,14 @@ func cmdWorkload(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "workload: need exactly one workload name")
 		return 2
 	}
-	if *shards < 0 {
-		fmt.Fprintf(stderr, "workload: -shards must be non-negative (got %d); use 0 for one shard per CPU\n", *shards)
-		return 2
-	}
 	if !checkMemKind("workload", *memKind, stderr) {
 		return 2
 	}
 	if !checkPolicy("workload", *policy, stderr) {
+		return 2
+	}
+	cfg, ok := parseConfig(*config, stderr)
+	if !ok {
 		return 2
 	}
 	if *quick {
@@ -522,7 +517,6 @@ func cmdWorkload(args []string, stdout, stderr io.Writer) int {
 	opts := graphpim.DefaultOptions()
 	opts.Check = *checkOn
 	opts.Memory = *memKind
-	opts.Shards = resolveShards(*shards)
 	opts.Stream = *stream
 	opts.Policy = *policy
 	if err := opts.Validate(); err != nil {
@@ -533,18 +527,6 @@ func cmdWorkload(args []string, stdout, stderr io.Writer) int {
 	run := graphpim.NewRun(g, opts)
 
 	base := run.Execute(w, graphpim.ConfigBaseline)
-	var cfg graphpim.Config
-	switch *config {
-	case "baseline":
-		cfg = graphpim.ConfigBaseline
-	case "upei":
-		cfg = graphpim.ConfigUPEI
-	case "graphpim":
-		cfg = graphpim.ConfigGraphPIM
-	default:
-		fmt.Fprintf(stderr, "unknown config %q\n", *config)
-		return 2
-	}
 	res := base
 	if cfg != graphpim.ConfigBaseline {
 		res = run.Execute(w, cfg)

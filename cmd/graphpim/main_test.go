@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"graphpim"
+	"graphpim/internal/harness"
+	"graphpim/internal/obs"
 )
 
 func TestMakeEnv(t *testing.T) {
@@ -170,5 +173,58 @@ func TestCheckFlagOutputIdentity(t *testing.T) {
 	}
 	if checkedParallel != plain {
 		t.Fatalf("-check -j 8 changed output:\n--- plain ---\n%s\n--- check -j8 ---\n%s", plain, checkedParallel)
+	}
+}
+
+// legacyManifest is a run manifest in the shape older builds wrote: its
+// flags and env carry a scheduler knob ("shards") that no longer exists.
+const legacyManifest = `{
+  "tool": "graphpim",
+  "version": "0.2.0",
+  "go_version": "go1.24.0",
+  "format": 1,
+  "flags": {"csv": "false", "j": "1", "quick": "true", "shards": "4"},
+  "env": {
+    "vertices": 2048,
+    "seed": 7,
+    "threads": 16,
+    "scaled_caches": true,
+    "sweep_sizes": [512, 2048],
+    "app_vertices": 2048,
+    "parallelism": 1,
+    "shards": 4,
+    "num_cpu": 2,
+    "gomaxprocs": 2
+  },
+  "experiments": [],
+  "cell_count": 0,
+  "wall_ns": 1
+}
+`
+
+// TestLegacyManifestReplays guards recorded run directories written by
+// older builds: a manifest whose env and flags carry a retired key must
+// still load, and must rebuild exactly the Env the same manifest
+// without that key does.
+func TestLegacyManifestReplays(t *testing.T) {
+	load := func(text string) obs.Manifest {
+		t.Helper()
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, obs.ManifestFile), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := obs.LoadManifest(dir)
+		if err != nil {
+			t.Fatalf("manifest does not load: %v", err)
+		}
+		return m
+	}
+	legacy := load(legacyManifest)
+	current := load(strings.NewReplacer(`"shards": 4,`, "", `, "shards": "4"`, "").Replace(legacyManifest))
+	if current.Flags["shards"] != "" || legacy.Flags["shards"] != "4" {
+		t.Fatalf("fixture edit failed: legacy flags %v, current flags %v", legacy.Flags, current.Flags)
+	}
+	if got, want := harness.EnvFromInfo(legacy.Env), harness.EnvFromInfo(current.Env); !reflect.DeepEqual(got, want) {
+		t.Fatalf("legacy manifest rebuilt a different Env:\n got  %+v\n want %+v", got, want)
 	}
 }

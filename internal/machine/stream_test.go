@@ -58,21 +58,19 @@ func TestStreamedReplayMatchesMaterialized(t *testing.T) {
 	diffResults(t, "streamed+periodic-checks", got, ref)
 }
 
-// TestStreamedShardedSweep crosses the streaming axis with the
-// epoch-sharded scheduler and host parallelism: every (shards,
-// GOMAXPROCS) combination replaying from the shared Stream must match
-// the serial materialized reference byte for byte.
-func TestStreamedShardedSweep(t *testing.T) {
+// TestStreamedReplayAcrossGOMAXPROCS crosses the streaming axis with
+// host parallelism: replaying twice from the shared Stream at each
+// GOMAXPROCS setting must match the materialized reference byte for
+// byte.
+func TestStreamedReplayAcrossGOMAXPROCS(t *testing.T) {
 	sp, tr := synthWorkload(8, 2000, 1<<16, 33)
 	st := streamOf(t, tr, sp)
 	ref := RunTrace(Baseline(), sp, tr)
 	for _, p := range []int{1, runtime.NumCPU()} {
 		prev := runtime.GOMAXPROCS(p)
-		for _, shards := range []int{1, 2, 8} {
-			cfg := Baseline()
-			cfg.Shards = shards
-			got := RunSource(cfg, sp, st)
-			diffResults(t, fmt.Sprintf("streamed shards=%d GOMAXPROCS=%d", shards, p), got, ref)
+		for rep := 0; rep < 2; rep++ {
+			got := RunSource(Baseline(), sp, st)
+			diffResults(t, fmt.Sprintf("streamed GOMAXPROCS=%d replay %d", p, rep), got, ref)
 		}
 		runtime.GOMAXPROCS(prev)
 	}

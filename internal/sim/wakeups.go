@@ -125,16 +125,6 @@ func (w *Wakeups) Min() (t uint64, ok bool) {
 	return k >> w.shift, true
 }
 
-// MinID returns the actor id of the (time, id)-smallest entry. It
-// panics on an empty queue; guard with Len or Min.
-func (w *Wakeups) MinID() int {
-	k := w.minKey()
-	if k == noKey {
-		panic("sim: MinID on an empty wake queue")
-	}
-	return int(k & w.idMask)
-}
-
 // PopMin removes and returns the (time, id)-smallest entry. It panics on
 // an empty queue; guard with Len or Min.
 func (w *Wakeups) PopMin() (id int, t uint64) {

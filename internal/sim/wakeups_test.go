@@ -139,9 +139,6 @@ func checkWakeupsAgainstModel(t *testing.T, n int, base uint64) {
 			if !mOK {
 				continue
 			}
-			if got := w.MinID(); got != mID {
-				t.Fatalf("step %d: MinID = %d, model %d", step, got, mID)
-			}
 			id, tt := w.PopMin()
 			if id != mID || tt != mT {
 				t.Fatalf("step %d: PopMin = (%d,%d), model (%d,%d)", step, id, tt, mID, mT)
@@ -194,25 +191,18 @@ func TestWakeupsScheduleBoundPanics(t *testing.T) {
 	}
 }
 
-// TestWakeupsEmptyPanics checks MinID and PopMin refuse an empty queue
-// rather than return a sentinel id.
+// TestWakeupsEmptyPanics checks PopMin refuses an empty queue rather
+// than return a sentinel id.
 func TestWakeupsEmptyPanics(t *testing.T) {
-	for name, f := range map[string]func(w *Wakeups){
-		"MinID":  func(w *Wakeups) { w.MinID() },
-		"PopMin": func(w *Wakeups) { w.PopMin() },
-	} {
-		w := NewWakeups(4)
-		w.Schedule(2, 5)
-		w.PopMin()
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on an empty queue did not panic", name)
-				}
-			}()
-			f(w)
-		}()
-	}
+	w := NewWakeups(4)
+	w.Schedule(2, 5)
+	w.PopMin()
+	defer func() {
+		if recover() == nil {
+			t.Error("PopMin on an empty queue did not panic")
+		}
+	}()
+	w.PopMin()
 }
 
 // BenchmarkWakeups replays the machine loop's access pattern (stepAt):
