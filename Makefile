@@ -52,14 +52,16 @@ bench-json:
 		-pkg ./internal/workloads/ -bench 'BenchmarkSpMVAggregation'
 
 # smoke-stream runs the million-vertex streaming smoke test under a
-# constrained GC target: a 1M-vertex BFS traced through the spill
-# pipeline and replayed end to end must fit a 1GiB heap — less than
-# half of what the materialized trace alone would need (~2GB, 127M
-# records x 16B), on top of the ~600MB graph + property live set both
-# pipelines share.
+# constrained GC target: a 1M-vertex BFS, which spills by graph size
+# alone, traced through the spill pipeline and replayed end to end must
+# fit a 1GiB heap — less than half of what the materialized trace alone
+# would need (~2GB, 127M records x 16B), on top of the ~600MB graph +
+# property live set both pipelines share. It also renders every quick
+# experiment with every trace spilled and with every trace in memory,
+# and requires byte-identical tables (TestStreamTableIdentityAll).
 smoke-stream:
 	GRAPHPIM_STREAM_SMOKE=1 GOMEMLIMIT=1GiB \
-		$(GO) test -run '^TestStreamSmoke$$' -v -timeout 30m ./internal/harness/
+		$(GO) test -run '^(TestStreamSmoke|TestStreamTableIdentityAll)$$' -v -timeout 30m ./internal/harness/
 
 # smoke-graph runs the paper-scale graph smokes. First the 11M-vertex
 # twitter-shaped build (Table VII: 11M/85M) under a GC target below the

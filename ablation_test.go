@@ -43,7 +43,7 @@ func ablationRun(b *testing.B, cost gframe.CostModel, mutate func(*machine.Confi
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	return machine.RunTrace(cfg, fw.Space(), fw.Trace())
+	return machine.RunSource(cfg, fw.Space(), fw.Trace())
 }
 
 // BenchmarkAblationFenceSemantics quantifies decision 1: host atomics as
@@ -62,8 +62,8 @@ func BenchmarkAblationFenceSemantics(b *testing.B) {
 		cfg.Cache.L2Size = 128 << 10
 		cfg.Cache.L3Size = 128 << 10
 		tr := fw.Trace()
-		with = machine.RunTrace(cfg, fw.Space(), tr).Cycles
-		without = machine.RunTrace(cfg, fw.Space(), tr.StripAtomics()).Cycles
+		with = machine.RunSource(cfg, fw.Space(), tr).Cycles
+		without = machine.RunSource(cfg, fw.Space(), tr.StripAtomics()).Cycles
 	}
 	ablationPrint("fence", "\nablation[fence]: DC baseline %d cycles with atomics, %d without (fence cost %.0f%%)\n",
 		with, without, (1-float64(without)/float64(with))*100)
@@ -106,14 +106,14 @@ func BenchmarkAblationUCOrdering(b *testing.B) {
 		base := machine.Baseline()
 		base.Cache.L2Size = 128 << 10
 		base.Cache.L3Size = 128 << 10
-		baseRes := machine.RunTrace(base, fw.Space(), tr)
+		baseRes := machine.RunSource(base, fw.Space(), tr)
 		for _, gap := range []uint64{16, 0} {
 			cfg := machine.GraphPIM(false)
 			cfg.POU.PMRActive = true
 			cfg.Cache.L2Size = 128 << 10
 			cfg.Cache.L3Size = 128 << 10
 			cfg.UCIssueGap = gap
-			r := machine.RunTrace(cfg, fw.Space(), tr)
+			r := machine.RunSource(cfg, fw.Space(), tr)
 			if gap > 0 {
 				withGap = r.Speedup(baseRes)
 			} else {

@@ -197,7 +197,7 @@ func BenchmarkMachineRun(b *testing.B) {
 		b.Run(cfg.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				machine.RunTrace(cfg, sp, tr)
+				machine.RunSource(cfg, sp, tr)
 			}
 			b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
 		})
@@ -229,9 +229,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // in footprint; BENCH_pr7.json records both sides).
 func benchPipeline(b *testing.B, stream bool) {
 	g := GenerateLDBC(1<<15, 7)
-	opts := DefaultOptions()
-	opts.Stream = stream
-	run := NewRun(g, opts)
+	if stream {
+		spillAll(b)
+	}
+	run := NewRun(g, DefaultOptions())
 	bfs := NewBFS(0)
 
 	runtime.GC()

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -258,5 +260,82 @@ func TestRunOutReplayRoundTrip(t *testing.T) {
 	// Asking for an experiment the run directory does not hold fails.
 	if _, _, badCode := runCLI("replay", "-in", dir, "fig7-speedup"); badCode != 2 {
 		t.Fatalf("replay of unrecorded experiment: exit code %d, want 2", badCode)
+	}
+}
+
+// TestTraceRejectsBadConfigFirst pins that `trace -replay` validates
+// -config before it touches the file: a bad config exits 2 with the
+// valid list, even when the file does not exist.
+func TestTraceRejectsBadConfigFirst(t *testing.T) {
+	out, stderr, code := runCLI("trace", "-replay", "/nonexistent", "-config", "bogus")
+	if code != 2 {
+		t.Fatalf("exit code %d, want 2 (stderr %q)", code, stderr)
+	}
+	if !strings.Contains(stderr, `trace: unknown config "bogus"`) {
+		t.Fatalf("unhelpful message %q", stderr)
+	}
+	if !strings.Contains(stderr, "valid configs: baseline, upei, graphpim") {
+		t.Fatalf("valid-config list missing:\n%s", stderr)
+	}
+	if out != "" {
+		t.Fatalf("a rejected -config still printed:\n%s", out)
+	}
+}
+
+// TestTraceSaveReplayRoundTrip drives `trace -save` and `trace -replay`
+// in process: both exit 0 and write their reports to the given stdout.
+func TestTraceSaveReplayRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bfs.gpimtrc2")
+	out, stderr, code := runCLI("trace", "-vertices", "256", "-save", path, "BFS")
+	if code != 0 {
+		t.Fatalf("trace -save failed (%d): %s", code, stderr)
+	}
+	if !strings.Contains(out, "workload:     BFS on 256 vertices") || !strings.Contains(out, "saved:        "+path) {
+		t.Fatalf("trace -save report incomplete:\n%s", out)
+	}
+	out, stderr, code = runCLI("trace", "-replay", path)
+	if code != 0 {
+		t.Fatalf("trace -replay failed (%d): %s", code, stderr)
+	}
+	for _, want := range []string{"replayed " + path + " under GraphPIM", "cycles:", "instrs:", "offloaded:"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("replay report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestTraceRejectsV1File pins the message for a file in the retired
+// flat v1 format: exit 1, naming the format.
+func TestTraceRejectsV1File(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.trc")
+	if err := os.WriteFile(path, []byte("GPIMTRC1\x01\x00\x00\x00\x00\x00\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, code := runCLI("trace", "-replay", path)
+	if code != 1 {
+		t.Fatalf("exit code %d, want 1 (stderr %q)", code, stderr)
+	}
+	if !strings.Contains(stderr, "v1 trace format") {
+		t.Fatalf("message does not name the v1 format: %q", stderr)
+	}
+}
+
+// TestRetiredPipelineFlags pins that the trace-pipeline switches are
+// gone: the pipeline follows the graph's size, so -stream and -v1 are
+// unknown flags (exit 2) on every subcommand that once took them.
+func TestRetiredPipelineFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"run", "-stream", "fig7-speedup"},
+		{"workload", "-stream", "BFS"},
+		{"trace", "-stream", "-replay", "F"},
+		{"trace", "-v1", "BFS"},
+	} {
+		_, stderr, code := runCLI(args...)
+		if code != 2 {
+			t.Fatalf("%v: exit code %d, want 2", args, code)
+		}
+		if !strings.Contains(stderr, "flag provided but not defined") {
+			t.Fatalf("%v: unexpected message %q", args, stderr)
+		}
 	}
 }

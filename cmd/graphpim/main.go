@@ -79,8 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "report":
 		return cmdReport(args[1:], stderr)
 	case "trace":
-		cmdTrace(args[1:])
-		return 0
+		return cmdTrace(args[1:], stdout, stderr)
 	case "graph":
 		cmdGraph(args[1:])
 		return 0
@@ -111,9 +110,6 @@ run/workload flags:
   -vertices N      LDBC graph size (default 16384)
   -seed S          generator seed (default 7)
   -j N             parallel workers for simulation cells (default: all CPUs)
-  -stream          build traces through the bounded-buffer streaming
-                   pipeline (spill file + chunked replay): byte-identical
-                   tables, peak memory bounded by graph + chunk buffers
   -format F        output format: text|json|csv (default text)
   -out DIR         write per-experiment JSONL records + manifest.json
   -check           enable simulation sanitizer audits (slower, byte-identical output)
@@ -189,10 +185,10 @@ func checkPolicy(sub, policy string, stderr io.Writer) bool {
 	return false
 }
 
-// parseConfig resolves the workload -config flag; an unknown config
-// reports the valid values and returns false for a usage (exit 2)
+// parseConfig resolves a -config flag value of subcommand sub; an unknown
+// config reports the valid values and returns false for a usage (exit 2)
 // failure.
-func parseConfig(name string, stderr io.Writer) (graphpim.Config, bool) {
+func parseConfig(sub, name string, stderr io.Writer) (graphpim.Config, bool) {
 	switch name {
 	case "baseline":
 		return graphpim.ConfigBaseline, true
@@ -201,7 +197,7 @@ func parseConfig(name string, stderr io.Writer) (graphpim.Config, bool) {
 	case "graphpim":
 		return graphpim.ConfigGraphPIM, true
 	}
-	fmt.Fprintf(stderr, "workload: unknown config %q\n", name)
+	fmt.Fprintf(stderr, "%s: unknown config %q\n", sub, name)
 	fmt.Fprintln(stderr, "valid configs: baseline, upei, graphpim")
 	return "", false
 }
@@ -253,7 +249,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	cpuprofile := fs.String("cpuprofile", "", "write CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write heap profile to this file")
 	workers := fs.Int("j", runtime.NumCPU(), "parallel workers for simulation cells")
-	stream := fs.Bool("stream", false, "stream traces through a bounded spill file (identical output, lower peak memory)")
 	memKind := fs.String("mem", "hmc", "memory backend kind for every simulation")
 	policy := fs.String("policy", "", "placement policy override for offload cells: auto|host|pim|upei")
 	if err := fs.Parse(args); err != nil {
@@ -286,7 +281,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	env := makeEnv(*quick, *vertices, *seed)
 	env.Parallelism = *workers
 	env.Check = *checkOn
-	env.Stream = *stream
 	if *memKind != "hmc" {
 		// "hmc" stays "" so manifests and goldens of default runs keep
 		// their historical (field-absent) shape.
@@ -453,6 +447,7 @@ func cmdReplay(args []string, stdout, stderr io.Writer) int {
 	// nothing to parallelize and the output order is the record order.
 	env := harness.EnvFromInfo(m.Env)
 	env.Parallelism = 1
+	defer env.Close()
 	for _, r := range runs {
 		recs, err := obs.LoadRecords(*in, r)
 		if err != nil {
@@ -488,7 +483,6 @@ func cmdWorkload(args []string, stdout, stderr io.Writer) int {
 	policy := fs.String("policy", "", "placement policy override: auto|host|pim|upei")
 	memKind := fs.String("mem", "hmc", "memory backend kind")
 	checkOn := fs.Bool("check", false, "enable simulation sanitizer audits (slower, identical output)")
-	stream := fs.Bool("stream", false, "stream the trace through a bounded spill file (identical output, lower peak memory)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -502,7 +496,7 @@ func cmdWorkload(args []string, stdout, stderr io.Writer) int {
 	if !checkPolicy("workload", *policy, stderr) {
 		return 2
 	}
-	cfg, ok := parseConfig(*config, stderr)
+	cfg, ok := parseConfig("workload", *config, stderr)
 	if !ok {
 		return 2
 	}
@@ -517,7 +511,6 @@ func cmdWorkload(args []string, stdout, stderr io.Writer) int {
 	opts := graphpim.DefaultOptions()
 	opts.Check = *checkOn
 	opts.Memory = *memKind
-	opts.Stream = *stream
 	opts.Policy = *policy
 	if err := opts.Validate(); err != nil {
 		fmt.Fprintln(stderr, err)

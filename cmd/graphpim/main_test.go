@@ -177,13 +177,14 @@ func TestCheckFlagOutputIdentity(t *testing.T) {
 }
 
 // legacyManifest is a run manifest in the shape older builds wrote: its
-// flags and env carry a scheduler knob ("shards") that no longer exists.
+// flags and env carry a scheduler knob ("shards") and a trace-pipeline
+// switch ("stream") that no longer exist.
 const legacyManifest = `{
   "tool": "graphpim",
   "version": "0.2.0",
   "go_version": "go1.24.0",
   "format": 1,
-  "flags": {"csv": "false", "j": "1", "quick": "true", "shards": "4"},
+  "flags": {"csv": "false", "j": "1", "quick": "true", "shards": "4", "stream": "true"},
   "env": {
     "vertices": 2048,
     "seed": 7,
@@ -193,6 +194,7 @@ const legacyManifest = `{
     "app_vertices": 2048,
     "parallelism": 1,
     "shards": 4,
+    "stream": true,
     "num_cpu": 2,
     "gomaxprocs": 2
   },
@@ -220,8 +222,10 @@ func TestLegacyManifestReplays(t *testing.T) {
 		return m
 	}
 	legacy := load(legacyManifest)
-	current := load(strings.NewReplacer(`"shards": 4,`, "", `, "shards": "4"`, "").Replace(legacyManifest))
-	if current.Flags["shards"] != "" || legacy.Flags["shards"] != "4" {
+	current := load(strings.NewReplacer(`"shards": 4,`, "", `, "shards": "4"`, "",
+		`"stream": true,`, "", `, "stream": "true"`, "").Replace(legacyManifest))
+	if current.Flags["shards"] != "" || legacy.Flags["shards"] != "4" ||
+		current.Flags["stream"] != "" || legacy.Flags["stream"] != "true" {
 		t.Fatalf("fixture edit failed: legacy flags %v, current flags %v", legacy.Flags, current.Flags)
 	}
 	if got, want := harness.EnvFromInfo(legacy.Env), harness.EnvFromInfo(current.Env); !reflect.DeepEqual(got, want) {

@@ -34,6 +34,7 @@ func cmdReport(args []string, stderr io.Writer) int {
 
 	env := makeEnv(*quick, *vertices, *seed)
 	env.Parallelism = *workers
+	defer env.Close()
 	f, err := os.Create(*out)
 	if err != nil {
 		fmt.Fprintln(stderr, err)

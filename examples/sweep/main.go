@@ -13,6 +13,7 @@ import (
 
 func main() {
 	env := graphpim.QuickEnv()
+	defer env.Close()
 	env.Vertices = 4096
 	env.SweepSizes = []int{512, 2048, 4096}
 

@@ -22,7 +22,6 @@ package graphpim
 import (
 	"context"
 	"fmt"
-	"os"
 	"strings"
 
 	"graphpim/internal/analytic"
@@ -205,14 +204,6 @@ type Options struct {
 	// configurations degrade gracefully to the conventional datapath, so
 	// ConfigGraphPIM behaves exactly like ConfigBaseline.
 	Memory string
-	// Stream builds the trace through the bounded-buffer streaming
-	// pipeline (DESIGN.md §13): instruction records spill to an unlinked
-	// temp file as v2-encoded chunks instead of materializing in memory,
-	// and the replay reads them back through fixed-size decode windows.
-	// Results are byte-identical to the materialized path; peak memory
-	// drops from O(trace) to O(graph + chunk buffers), which is what
-	// lets million-vertex graphs simulate in a small container.
-	Stream bool
 	// Policy overrides Execute's Config argument with a placement
 	// policy whenever that argument is not ConfigBaseline (the baseline
 	// stays the speedup denominator, mirroring the harness rule):
@@ -358,53 +349,30 @@ func (r *Run) Execute(w Workload, cfg Config) Result {
 	return res
 }
 
-// ExecuteFull runs w under cfg and returns both the timing result and the
-// workload's functional output (e.g. BFS depths, PageRank values).
-func (r *Run) ExecuteFull(w Workload, cfg Config) (Result, any) {
-	if r.opts.Stream {
-		res, out, err := r.executeStreamed(w, cfg)
-		if err != nil {
-			// Trace construction has no error path; a spill-file failure
-			// is an environment fault (unwritable temp dir, disk full).
-			panic("graphpim: streamed execution: " + err.Error())
-		}
-		return res, out
-	}
-	fw := gframe.New(r.g, r.opts.Threads, gframe.DefaultCostModel())
-	out := w.Run(fw)
-	tr := fw.Trace()
-	mc, dec := r.resolveConfig(w, cfg, fw, tr)
-	res := noteDecision(machine.RunTrace(mc, fw.Space(), tr), dec)
-	return res, out.Output
-}
+// maxMaterializedEdges is the graph size, in edges, above which
+// ExecuteFull spills the trace to disk (gframe.Record). Tests lower it to
+// reach the spill path on small graphs.
+var maxMaterializedEdges = gframe.MaxMaterializedEdges
 
-// executeStreamed is ExecuteFull's Options.Stream path: the workload's
-// records spill to an unlinked temp file as they are emitted, property
-// arrays are released once the functional run finishes (outputs are
-// snapshots, never aliases), and the machine replays chunk-by-chunk.
-func (r *Run) executeStreamed(w Workload, cfg Config) (Result, any, error) {
-	f, err := os.CreateTemp("", "graphpim-spill-*.gpimtrc2")
+// ExecuteFull runs w under cfg and returns both the timing result and the
+// workload's functional output (e.g. BFS depths, PageRank values). The
+// trace stays in memory for graphs up to about a million edges and spills
+// to an unlinked temp file above that (DESIGN.md §13); results are
+// byte-identical either way.
+func (r *Run) ExecuteFull(w Workload, cfg Config) (Result, any) {
+	var out workloads.Result
+	fw, src, release, err := gframe.Record(r.g, r.opts.Threads, maxMaterializedEdges, func(fw *gframe.Framework) {
+		out = w.Run(fw)
+	})
 	if err != nil {
-		return Result{}, nil, err
+		// Trace construction has no error path; a spill-file failure is
+		// an environment fault (unwritable temp dir, disk full).
+		panic("graphpim: " + err.Error())
 	}
-	defer f.Close()
-	// Unlink now; the open descriptor keeps the inode alive and no crash
-	// can leave a stray spill file behind.
-	os.Remove(f.Name())
-	sw, err := trace.NewStreamWriter(f, r.opts.Threads, trace.DefaultChunkRecords)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	fw := gframe.NewStreaming(r.g, r.opts.Threads, gframe.DefaultCostModel(), sw)
-	out := w.Run(fw)
-	fw.ReleaseProperties()
-	st, err := fw.FinalizeStream()
-	if err != nil {
-		return Result{}, nil, err
-	}
-	mc, dec := r.resolveConfig(w, cfg, fw, st)
-	res := noteDecision(machine.RunSource(mc, fw.Space(), st), dec)
-	return res, out.Output, nil
+	defer release()
+	mc, dec := r.resolveConfig(w, cfg, fw, src)
+	res := noteDecision(machine.RunSource(mc, fw.Space(), src), dec)
+	return res, out.Output
 }
 
 // Experiments returns every paper table/figure reproduction.
@@ -458,6 +426,7 @@ func RunExperiment(id string, env *Env) (*Table, error) {
 	}
 	if env == nil {
 		env = harness.DefaultEnv()
+		defer env.Close()
 	}
 	return env.RunExperiment(context.Background(), ex)
 }

@@ -60,6 +60,14 @@ func TestExperimentRegistryViaFacade(t *testing.T) {
 	}
 }
 
+// spillAll lowers ExecuteFull's spill bound so every trace built until
+// the test or benchmark ends takes the spill path.
+func spillAll(tb testing.TB) {
+	prev := maxMaterializedEdges
+	maxMaterializedEdges = -1
+	tb.Cleanup(func() { maxMaterializedEdges = prev })
+}
+
 // TestGNNFamilyExecutionIdentity: every GNN/SpMV-family workload must
 // produce identical timing results AND identical functional output
 // across the materialized/streamed trace pipelines — the same
@@ -67,18 +75,25 @@ func TestExperimentRegistryViaFacade(t *testing.T) {
 // extended to the new family.
 func TestGNNFamilyExecutionIdentity(t *testing.T) {
 	g := GenerateLDBC(512, 7)
-	for _, mk := range []func() Workload{
+	mks := []func() Workload{
 		func() Workload { return NewSpMV(2) },
 		func() Workload { return NewGNNMean(4) },
 		func() Workload { return NewGNNMax(4) },
 		func() Workload { return NewTCFeat(4) },
-	} {
+	}
+	type run struct {
+		res Result
+		out any
+	}
+	ref := make([]run, len(mks))
+	for i, mk := range mks {
+		ref[i].res, ref[i].out = NewRun(g, DefaultOptions()).ExecuteFull(mk(), ConfigGraphPIM)
+	}
+	spillAll(t)
+	for i, mk := range mks {
 		name := mk().Info().Name
-		refOpts := DefaultOptions()
-		refRes, refOut := NewRun(g, refOpts).ExecuteFull(mk(), ConfigGraphPIM)
-		opts := refOpts
-		opts.Stream = true
-		res, out := NewRun(g, opts).ExecuteFull(mk(), ConfigGraphPIM)
+		refRes, refOut := ref[i].res, ref[i].out
+		res, out := NewRun(g, DefaultOptions()).ExecuteFull(mk(), ConfigGraphPIM)
 		if !reflect.DeepEqual(res, refRes) {
 			t.Fatalf("%s/stream: timing result diverges from materialized run", name)
 		}

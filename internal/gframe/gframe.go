@@ -20,6 +20,7 @@ package gframe
 import (
 	"fmt"
 	"math"
+	"os"
 
 	"graphpim/internal/graph"
 	"graphpim/internal/memmap"
@@ -202,6 +203,61 @@ func build(g *graph.Graph, threads int, cost CostModel, sw *trace.StreamWriter) 
 	return f
 }
 
+// MaxMaterializedEdges is the largest graph, in edges, whose trace Record
+// keeps in memory. Every graph the recorded experiments build (LDBC up to
+// 16,384 vertices, about 470k edges, and the 16,384-vertex apps) stays
+// under it and replays the materialized trace, the faster of the two
+// pipelines at that size; LDBC-65536 (about 1.9M edges) and larger spill,
+// because there the trace rather than the graph would dominate memory.
+const MaxMaterializedEdges = 1 << 20
+
+// Record runs a workload once over a fresh framework on g and returns the
+// framework, its replayable trace, and a release func. The pipeline is
+// picked from the graph's size: with at most maxEdges edges the trace
+// materializes in memory (a *trace.Trace); above that the records spill
+// as v2 chunks to an unlinked temp file while run emits them, and src is a
+// *trace.Stream over it, so peak memory is the graph plus live chunk
+// buffers. Callers pass MaxMaterializedEdges; tests pass a smaller bound
+// to take the spill path on small graphs. The two pipelines replay
+// byte-identically.
+//
+// Once run returns, the property arrays are released: run must have
+// taken any functional output it needs (outputs are snapshots), and
+// replay needs only addresses. release closes the spill file (a no-op for
+// a materialized trace); call it once nothing replays src any more.
+func Record(g *graph.Graph, threads, maxEdges int, run func(*Framework)) (fw *Framework, src trace.Source, release func() error, err error) {
+	if g.NumEdges() <= maxEdges {
+		fw = New(g, threads, DefaultCostModel())
+		run(fw)
+		fw.ReleaseProperties()
+		return fw, fw.Trace(), func() error { return nil }, nil
+	}
+	f, err := os.CreateTemp("", "graphpim-spill-*.gpimtrc2")
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("gframe: creating trace spill file: %w", err)
+	}
+	// Unlink at once: the open descriptor keeps the inode alive, and no
+	// crash can leave a stray spill file behind.
+	if err := os.Remove(f.Name()); err != nil {
+		f.Close()
+		return nil, nil, nil, fmt.Errorf("gframe: unlinking trace spill file: %w", err)
+	}
+	sw, err := trace.NewStreamWriter(f, threads, trace.DefaultChunkRecords)
+	if err != nil {
+		f.Close()
+		return nil, nil, nil, fmt.Errorf("gframe: starting stream writer: %w", err)
+	}
+	fw = NewStreaming(g, threads, DefaultCostModel(), sw)
+	run(fw)
+	fw.ReleaseProperties()
+	st, err := fw.FinalizeStream()
+	if err != nil {
+		f.Close()
+		return nil, nil, nil, fmt.Errorf("gframe: finalizing streamed trace: %w", err)
+	}
+	return fw, st, f.Close, nil
+}
+
 // Graph returns the underlying graph.
 func (f *Framework) Graph() *graph.Graph { return f.g }
 
@@ -254,7 +310,9 @@ func (f *Framework) AllocProperty(name string, elemSize int) *Property {
 // Barrier inserts a global synchronization point.
 func (f *Framework) Barrier() { f.builder.Barrier() }
 
-// Trace snapshots the emitted instruction streams.
+// Trace returns the emitted instruction streams and ends the framework's
+// emission: the builder's buffers are released, and a second Trace (or
+// any further emission) panics.
 func (f *Framework) Trace() *trace.Trace { return f.builder.Build() }
 
 // FinalizeStream completes a streaming framework's chunk log and returns
@@ -263,12 +321,12 @@ func (f *Framework) FinalizeStream() (*trace.Stream, error) {
 	return f.builder.Finalize()
 }
 
-// ReleaseProperties drops every property array's functional values. The
-// streaming pipeline calls it after the workload has run (and its output
-// snapshots are taken): replay only needs addresses, so holding
-// per-vertex values for the duration of every machine configuration
-// would put an O(vertices) term back into peak RSS. Accessing a released
-// property's values panics.
+// ReleaseProperties drops every property array's functional values.
+// Record calls it after the workload has run (and its output snapshots
+// are taken): replay only needs addresses, so holding per-vertex values
+// for the duration of every machine configuration would put an
+// O(vertices) term back into peak RSS. Accessing a released property's
+// values panics.
 func (f *Framework) ReleaseProperties() {
 	for _, p := range f.props {
 		p.vals = nil

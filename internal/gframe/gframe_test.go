@@ -1,6 +1,7 @@
 package gframe
 
 import (
+	"slices"
 	"testing"
 
 	"graphpim/internal/graph"
@@ -241,4 +242,74 @@ func TestAllocPropertyValidation(t *testing.T) {
 		}
 	}()
 	f.AllocProperty("bad", 32)
+}
+
+// TestRecordPicksPipelineBySize pins Record's one decision: a graph with
+// at most maxEdges edges materializes its trace, a larger one spills it,
+// and both yield the same records with the properties released.
+func TestRecordPicksPipelineBySize(t *testing.T) {
+	g := tinyGraph() // 4 edges
+	var prop *Property
+	run := func(f *Framework) {
+		prop = f.AllocProperty("depth", 8)
+		for th := 0; th < f.NumThreads(); th++ {
+			c := f.Thread(th)
+			for v := graph.VID(th); int(v) < g.NumVertices(); v += 2 {
+				c.BeginVertex(v)
+				c.OutEdges(v, func(dst graph.VID, _ uint32) { c.AtomicMin(prop, dst, uint64(v)) })
+			}
+		}
+		f.Barrier()
+	}
+	records := func(src trace.Source) [][]trace.Instr {
+		out := make([][]trace.Instr, src.NumThreads())
+		for th := range out {
+			cur := src.Cursor(th)
+			for w := cur.NextWindow(); w != nil; w = cur.NextWindow() {
+				out[th] = append(out[th], w...)
+			}
+		}
+		return out
+	}
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+
+	_, mat, release, err := Record(g, 2, g.NumEdges(), run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := mat.(*trace.Trace); !ok {
+		t.Fatalf("a graph at the bound got %T, want a materialized *trace.Trace", mat)
+	}
+	if err := release(); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic("reading a released property", func() { prop.U64(0) })
+
+	_, spilled, release, err := Record(g, 2, g.NumEdges()-1, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if _, ok := spilled.(*trace.Stream); !ok {
+		t.Fatalf("a graph over the bound got %T, want a spilled *trace.Stream", spilled)
+	}
+	mustPanic("reading a released property", func() { prop.U64(0) })
+
+	want, got := records(mat), records(spilled)
+	if len(got) != len(want) {
+		t.Fatalf("spilled %d threads, materialized %d", len(got), len(want))
+	}
+	for th := range want {
+		if len(want[th]) == 0 || !slices.Equal(got[th], want[th]) {
+			t.Fatalf("thread %d: spilled records differ from materialized ones", th)
+		}
+	}
 }

@@ -217,7 +217,7 @@ func extHybridMemory() Experiment {
 								return w.Run(fw)
 							})
 						})
-						return machine.RunSource(e.Config(kind, w), tr.fw.Space(), tr.source())
+						return machine.RunSource(e.Config(kind, w), tr.fw.Space(), tr.src)
 					})
 				}
 				row := []string{name}
@@ -316,7 +316,7 @@ func extSeedStability() Experiment {
 					seedRun := func(kind ConfigKind) machine.Result {
 						return e.runCell(runKey{label, size, kind, false, "", seed}, func() machine.Result {
 							tr := e.traceCell(tkey, buildTrace)
-							return machine.RunSource(e.Config(kind, w), tr.fw.Space(), tr.source())
+							return machine.RunSource(e.Config(kind, w), tr.fw.Space(), tr.src)
 						})
 					}
 					base := seedRun(KindBaseline)

@@ -58,11 +58,11 @@ func extDependentBlock() Experiment {
 				// rebuilds it instead of sharing a trace memo slot.
 				base := e.runCell(runKey{label, ops, KindBaseline, false, "", e.Seed}, func() machine.Result {
 					d := buildDep()
-					return machine.RunTrace(e.scaleCaches(machine.Baseline()), d.sp, d.tr)
+					return machine.RunSource(e.scaleCaches(machine.Baseline()), d.sp, d.tr)
 				})
 				gpim := e.runCell(runKey{label, ops, KindGraphPIM, false, "", e.Seed}, func() machine.Result {
 					d := buildDep()
-					return machine.RunTrace(e.scaleCaches(machine.GraphPIM(false)), d.sp, d.tr)
+					return machine.RunSource(e.scaleCaches(machine.GraphPIM(false)), d.sp, d.tr)
 				})
 				perOpB := float64(base.Cycles) * float64(e.Threads) / ops
 				perOpG := float64(gpim.Cycles) * float64(e.Threads) / ops

@@ -16,7 +16,6 @@ package harness
 import (
 	"fmt"
 	"math"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -98,13 +97,6 @@ type Env struct {
 	// stay the speedup denominators. The CLI validates values before
 	// constructing an Env; unknown values panic in policyKind.
 	Policy string
-	// Stream builds every trace through the bounded-buffer streaming
-	// pipeline (DESIGN.md §13): the generator spills v2-encoded chunks
-	// to an unlinked temp file instead of materializing []trace.Instr
-	// per thread, and replays read chunks back through fixed-size decode
-	// windows. Results and tables are byte-identical either way; only
-	// peak memory changes. Call Close when done to release spill files.
-	Stream bool
 
 	// Reporter receives engine progress events (per-cell completions,
 	// per-phase durations); nil means silent. Implementations must be
@@ -158,12 +150,12 @@ func (s *traceSlot) get() *tracedRun {
 		s.build = nil
 		// Hand-off point: the trace and its address space are now
 		// shared, possibly by concurrent replays. Freeze both so any
-		// stray post-build mutation panics instead of racing. A
-		// streamed cell has no materialized Trace to freeze — the
-		// spill file is immutable once Finalize returns.
+		// stray post-build mutation panics instead of racing. A spilled
+		// trace has no materialized Trace to freeze — the spill file is
+		// immutable once Finalize returns.
 		s.tr.fw.Space().Freeze()
-		if s.tr.tr != nil {
-			s.tr.tr.Freeze()
+		if tr, ok := s.tr.src.(*trace.Trace); ok {
+			tr.Freeze()
 		}
 	})
 	return s.tr
@@ -189,35 +181,14 @@ func (s *runSlot) get() machine.Result {
 	return s.res
 }
 
-// tracedRun is one workload's functional execution and trace. Exactly
-// one of tr (materialized) and stream (spill-file backed, Env.Stream)
-// is non-nil; source() hides the difference from replay sites.
+// tracedRun is one workload's functional execution and its replayable
+// trace, materialized or spilled as gframe.Record chose by graph size.
+// release frees the spill file, if any (Env.Close calls it).
 type tracedRun struct {
-	fw     *gframe.Framework
-	tr     *trace.Trace
-	stream *trace.Stream
-	spill  *os.File
-	res    workloads.Result
-}
-
-// source returns the replayable instruction source, whichever form the
-// build produced.
-func (t *tracedRun) source() trace.Source {
-	if t.stream != nil {
-		return t.stream
-	}
-	return t.tr
-}
-
-// strippedSource returns the Fig. 4 atomics-stripped view of the run:
-// the materialized path rewrites the trace up front, the streamed path
-// strips on the fly per cursor window. Both expand to the identical
-// record sequence, so replays agree byte-for-byte.
-func (t *tracedRun) strippedSource() trace.Source {
-	if t.stream != nil {
-		return trace.StripSource(t.stream)
-	}
-	return t.tr.StripAtomics()
+	fw      *gframe.Framework
+	src     trace.Source
+	release func() error
+	res     workloads.Result
 }
 
 // DefaultEnv returns the scale used for the recorded results in
@@ -359,61 +330,41 @@ func (e *Env) runCell(key runKey, compute func() machine.Result) machine.Result 
 	return s.get()
 }
 
-// buildTraced executes run against a fresh framework over g and returns
-// the finished tracedRun. With e.Stream unset the trace materializes in
-// memory (fw.Trace); with it set the framework spills v2-encoded chunks
-// to an unlinked temp file as the workload emits them, the property
-// arrays are released as soon as the functional run finishes, and the
-// returned cell holds a *trace.Stream over the spill file. Build
-// failures (temp-file IO, encoder errors) panic: trace construction has
-// no error path today and an unwritable temp dir is an environment
-// fault, not an input error.
+// maxMaterializedEdges is the graph size, in edges, above which
+// buildTraced spills traces to disk. Tests lower it to reach the spill
+// path on small graphs.
+var maxMaterializedEdges = gframe.MaxMaterializedEdges
+
+// buildTraced executes run against a fresh framework over g through
+// gframe.Record and returns the finished tracedRun. Build failures
+// (temp-file IO, encoder errors) panic: trace construction has no error
+// path today and an unwritable temp dir is an environment fault, not an
+// input error.
 func (e *Env) buildTraced(g *graph.Graph, run func(*gframe.Framework) workloads.Result) *tracedRun {
-	if !e.Stream {
-		fw := gframe.New(g, e.Threads, gframe.DefaultCostModel())
-		res := run(fw)
-		return &tracedRun{fw: fw, tr: fw.Trace(), res: res}
-	}
-	f, err := os.CreateTemp("", "graphpim-spill-*.gpimtrc2")
+	var res workloads.Result
+	fw, src, release, err := gframe.Record(g, e.Threads, maxMaterializedEdges, func(fw *gframe.Framework) {
+		res = run(fw)
+	})
 	if err != nil {
-		panic(fmt.Sprintf("harness: creating trace spill file: %v", err))
+		panic("harness: " + err.Error())
 	}
-	// Unlink immediately: the kernel keeps the inode alive through the
-	// open descriptor, and no crash can leave a stray spill behind.
-	os.Remove(f.Name())
-	sw, err := trace.NewStreamWriter(f, e.Threads, trace.DefaultChunkRecords)
-	if err != nil {
-		f.Close()
-		panic(fmt.Sprintf("harness: starting stream writer: %v", err))
-	}
-	fw := gframe.NewStreaming(g, e.Threads, gframe.DefaultCostModel(), sw)
-	res := run(fw)
-	// The functional answer is computed; drop the property arrays so a
-	// streamed cell's steady state is CSR + live chunks, not the whole
-	// value set (replays never touch property values).
-	fw.ReleaseProperties()
-	st, err := fw.FinalizeStream()
-	if err != nil {
-		f.Close()
-		panic(fmt.Sprintf("harness: finalizing streamed trace: %v", err))
-	}
-	return &tracedRun{fw: fw, stream: st, spill: f, res: res}
+	return &tracedRun{fw: fw, src: src, release: release, res: res}
 }
 
-// Close releases every spill file streamed cells hold open. Call it
-// once no further replays will run (streamed cursors read the files on
-// demand); a non-streaming Env's Close is a no-op. The Env remains
-// usable for memoized results afterwards.
+// Close releases every spill file the Env's traces hold open. Call it
+// once no further replays will run (spilled traces are read on demand);
+// when every trace is materialized it is a no-op. The Env remains usable
+// for memoized results afterwards.
 func (e *Env) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var first error
 	for _, s := range e.traces {
-		if s.tr != nil && s.tr.spill != nil {
-			if err := s.tr.spill.Close(); err != nil && first == nil {
+		if s.tr != nil && s.tr.release != nil {
+			if err := s.tr.release(); err != nil && first == nil {
 				first = err
 			}
-			s.tr.spill = nil
+			s.tr.release = nil
 		}
 	}
 	return first
@@ -490,7 +441,7 @@ func (e *Env) configFor(kind ConfigKind, w workloads.Workload, tr *tracedRun,
 	}
 	_, _, propBytes := tr.fw.Space().Footprint()
 	f := tune.Profile(tr.fw.Graph(), propBytes, uint64(probe.Cache.L3Size),
-		tune.TotalCounts(tr.source()), w.Info().NeedsFPExtension)
+		tune.TotalCounts(tr.src), w.Info().NeedsFPExtension)
 	d := tune.Choose(f, probe.Substrate())
 	cfg := e.Config(kindForPlacement(d.Placement), w)
 	if adjust != nil {
@@ -533,7 +484,7 @@ func (e *Env) RunSized(w workloads.Workload, vertices int, kind ConfigKind) mach
 	return e.runCell(key, func() machine.Result {
 		tr := e.Trace(w, vertices)
 		cfg, dec := e.configFor(kind, w, tr, nil)
-		return noteDecision(machine.RunSource(cfg, tr.fw.Space(), tr.source()), dec)
+		return noteDecision(machine.RunSource(cfg, tr.fw.Space(), tr.src), dec)
 	})
 }
 
@@ -546,7 +497,7 @@ func (e *Env) RunVariant(w workloads.Workload, kind ConfigKind, variant string,
 	return e.runCell(key, func() machine.Result {
 		tr := e.Trace(w, e.Vertices)
 		cfg, dec := e.configFor(kind, w, tr, adjust)
-		return noteDecision(machine.RunSource(cfg, tr.fw.Space(), tr.source()), dec)
+		return noteDecision(machine.RunSource(cfg, tr.fw.Space(), tr.src), dec)
 	})
 }
 
@@ -560,7 +511,7 @@ func (e *Env) RunAutoVariant(w workloads.Workload, variant string,
 	return e.runCell(key, func() machine.Result {
 		tr := e.Trace(w, e.Vertices)
 		cfg, dec := e.configFor(KindAuto, w, tr, adjust)
-		return noteDecision(machine.RunSource(cfg, tr.fw.Space(), tr.source()), dec)
+		return noteDecision(machine.RunSource(cfg, tr.fw.Space(), tr.src), dec)
 	})
 }
 

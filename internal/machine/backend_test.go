@@ -36,8 +36,8 @@ func TestExplicitHMCBackendIdentity(t *testing.T) {
 				hc.Cube = explicit.HMC
 				explicit.Mem = hc
 
-				a := RunTrace(implicit, sp, tr)
-				b := RunTrace(explicit, sp, tr)
+				a := RunSource(implicit, sp, tr)
+				b := RunSource(explicit, sp, tr)
 				if !reflect.DeepEqual(a, b) {
 					t.Fatalf("seed %d config %d cubes %d: implicit and explicit HMC backends diverge:\n%+v\n%+v",
 						seed, ci, cubes, a, b)
@@ -65,7 +65,7 @@ func TestDDRGracefulDegradation(t *testing.T) {
 	gp := ddrConfig(GraphPIM(false))
 	gp.Check = check.Periodic
 	gp.CheckInterval = 256
-	res := RunTrace(gp, sp, tr)
+	res := RunSource(gp, sp, tr)
 
 	if res.Cycles == 0 || res.Instructions != tr.TotalInstructions() {
 		t.Fatalf("DDR run incomplete: %+v", res)
@@ -83,7 +83,7 @@ func TestDDRGracefulDegradation(t *testing.T) {
 		t.Fatal("hmc counters populated on a DDR run")
 	}
 
-	base := RunTrace(ddrConfig(Baseline()), sp, tr)
+	base := RunSource(ddrConfig(Baseline()), sp, tr)
 	if res.Cycles != base.Cycles {
 		t.Fatalf("GraphPIM-on-DDR ran %d cycles but Baseline-on-DDR %d (should be identical)",
 			res.Cycles, base.Cycles)
@@ -95,7 +95,7 @@ func TestDDRGracefulDegradation(t *testing.T) {
 // resolve to zero, byte aliases to the bus counters.
 func TestDDRMemStatAliases(t *testing.T) {
 	sp, tr := synthWorkload(2, 100, 1<<12, 3)
-	res := RunTrace(ddrConfig(Baseline()), sp, tr)
+	res := RunSource(ddrConfig(Baseline()), sp, tr)
 	if got, want := res.MemStat("mem.reads"), res.Stats["ddr.reads"]; got != want || got == 0 {
 		t.Fatalf("MemStat(mem.reads) = %d, ddr.reads = %d", got, want)
 	}
@@ -119,7 +119,7 @@ func TestFPAtomicWithoutFPFUFallsBackToHost(t *testing.T) {
 		cfg := GraphPIM(true)
 		cfg.HMC.FPFUsPerVault = 0
 		cfg.Check = check.Periodic
-		res := RunTrace(cfg, sp, tr)
+		res := RunSource(cfg, sp, tr)
 		if n := res.Stats["hmc.atomic.EXT_FPADD64"] + res.Stats["hmc.atomic.EXT_FPSUB64"]; n != 0 {
 			t.Fatalf("seed %d: %d FP atomics offloaded to FP-less cubes", seed, n)
 		}
@@ -159,7 +159,7 @@ func TestCrossBackendDegradationMatrix(t *testing.T) {
 			cfg.HMCCubes = 0 // the explicit backend config governs
 			cfg.Check = check.Periodic
 			cfg.CheckInterval = 256
-			res := RunTrace(cfg, sp, tr)
+			res := RunSource(cfg, sp, tr)
 			label := kind + "/" + c.name
 
 			if res.Instructions != tr.TotalInstructions() {
@@ -227,7 +227,7 @@ func TestLPDDRFallbackCounterOnFPLessMAC(t *testing.T) {
 	cfg := GraphPIM(true)
 	cfg.Mem = lc
 	cfg.Check = check.Periodic
-	res := RunTrace(cfg, sp, tr)
+	res := RunSource(cfg, sp, tr)
 
 	fb := res.Stats["pou.fallbacks.EXT_FPADD64"]
 	if fb == 0 {
@@ -245,7 +245,7 @@ func TestLPDDRFallbackCounterOnFPLessMAC(t *testing.T) {
 	full := GraphPIM(true)
 	full.Mem = lpddr.DefaultConfig()
 	full.Check = check.Periodic
-	fres := RunTrace(full, sp, tr)
+	fres := RunSource(full, sp, tr)
 	if n := fres.Stats["pou.fallbacks.EXT_FPADD64"]; n != 0 {
 		t.Fatalf("FP-capable MAC counted %d fallbacks", n)
 	}
@@ -264,7 +264,7 @@ func TestVaultBundleDispatch(t *testing.T) {
 	bc, _ := mem.DefaultConfig("vault")
 	cfg.Mem = bc
 	cfg.Check = check.Periodic
-	res := RunTrace(cfg, sp, tr)
+	res := RunSource(cfg, sp, tr)
 
 	if res.Stats["mem.host_atomics"] != 0 {
 		t.Fatalf("%d atomics fell back to host despite bundle capability", res.Stats["mem.host_atomics"])
@@ -300,11 +300,11 @@ func TestVaultGeneralizesPMRApplicability(t *testing.T) {
 		cfg.Check = check.Periodic
 		return cfg
 	}
-	vres := RunTrace(mk("vault"), sp, tr)
+	vres := RunSource(mk("vault"), sp, tr)
 	if vres.Stats["mem.pim_atomics"] == 0 {
 		t.Fatal("bundle-capable substrate did not re-activate the PMR")
 	}
-	hres := RunTrace(mk("hmc"), sp, tr)
+	hres := RunSource(mk("hmc"), sp, tr)
 	if hres.Stats["mem.pim_atomics"] != 0 {
 		t.Fatalf("fixed-function substrate offloaded %d atomics with an inactive PMR",
 			hres.Stats["mem.pim_atomics"])
@@ -319,7 +319,7 @@ func TestFaultInjectionDDRBusLane(t *testing.T) {
 	cfg := ddrConfig(Baseline())
 	cfg.Check = check.Periodic
 	cfg.CheckInterval = 64
-	m := New(cfg, sp, tr)
+	m := NewSource(cfg, sp, tr)
 	corruptAtTick(t, 400, func() { m.mem.(*ddr.System).CorruptBusLaneForTest() })
 	f := expectFailure(t, "ddr", func() { m.Run(0) })
 	if f.Cycle == 0 {

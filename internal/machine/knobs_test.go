@@ -25,8 +25,8 @@ func TestUCIssueGapThrottlesUCLoads(t *testing.T) {
 	slow.UCIssueGap = 64
 	fast := GraphPIM(false)
 	fast.UCIssueGap = 0
-	rs := RunTrace(slow, sp, tr)
-	rf := RunTrace(fast, sp, tr)
+	rs := RunSource(slow, sp, tr)
+	rf := RunSource(fast, sp, tr)
 	if rs.Cycles <= rf.Cycles {
 		t.Fatalf("UC gap had no effect: %d vs %d", rs.Cycles, rf.Cycles)
 	}
@@ -48,8 +48,8 @@ func TestHostFPAtomicExtraCost(t *testing.T) {
 	cheap.HostFPAtomicExtra = 0
 	costly := Baseline()
 	costly.HostFPAtomicExtra = 100
-	rc := RunTrace(cheap, sp, tr)
-	rx := RunTrace(costly, sp, tr)
+	rc := RunSource(cheap, sp, tr)
+	rx := RunSource(costly, sp, tr)
 	if rx.Cycles < rc.Cycles+200*90 {
 		t.Fatalf("FP atomic extra not charged: %d vs %d", rx.Cycles, rc.Cycles)
 	}
@@ -71,8 +71,8 @@ func TestUPEIChainPenaltySlowsLoadChain(t *testing.T) {
 	up := UPEI(false)
 	up.UPEICheckPenalty = 40
 	gp := GraphPIM(false)
-	ru := RunTrace(up, sp, tr)
-	rg := RunTrace(gp, sp, tr)
+	ru := RunSource(up, sp, tr)
+	rg := RunSource(gp, sp, tr)
 	if ru.Cycles <= rg.Cycles {
 		t.Fatalf("U-PEI check penalty invisible: upei=%d graphpim=%d", ru.Cycles, rg.Cycles)
 	}
@@ -94,8 +94,8 @@ func TestLinkBWScaleChangesServiceRate(t *testing.T) {
 	full := Baseline()
 	half := Baseline()
 	half.HMC.LinkBWScale = 0.25
-	rf := RunTrace(full, sp, tr)
-	rh := RunTrace(half, sp, tr)
+	rf := RunSource(full, sp, tr)
+	rh := RunSource(half, sp, tr)
 	if rh.Cycles <= rf.Cycles {
 		t.Fatalf("quarter link bandwidth did not slow a fill-bound run: %d vs %d", rh.Cycles, rf.Cycles)
 	}
@@ -118,8 +118,8 @@ func TestFUCountMattersUnderExtremeAtomicPressure(t *testing.T) {
 	many := GraphPIM(false)
 	one := GraphPIM(false)
 	one.HMC.IntFUsPerVault = 1
-	rm := RunTrace(many, sp, tr)
-	ro := RunTrace(one, sp, tr)
+	rm := RunSource(many, sp, tr)
+	ro := RunSource(one, sp, tr)
 	if ro.Cycles < rm.Cycles {
 		t.Fatalf("1 FU faster than 16: %d vs %d", ro.Cycles, rm.Cycles)
 	}
@@ -130,8 +130,8 @@ func TestMultiCubeChainPreservesCorrectByteRouting(t *testing.T) {
 	single := GraphPIM(false)
 	quad := GraphPIM(false)
 	quad.HMCCubes = 4
-	rs := RunTrace(single, sp, tr)
-	rq := RunTrace(quad, sp, tr)
+	rs := RunSource(single, sp, tr)
+	rq := RunSource(quad, sp, tr)
 	if rs.Instructions != rq.Instructions {
 		t.Fatal("chaining changed retired instruction count")
 	}
@@ -156,8 +156,8 @@ func TestMultiCubeFarHopsCostSomething(t *testing.T) {
 	}
 	cfg := GraphPIM(false)
 	cfg.HMCCubes = 4
-	near := RunTrace(cfg, sp, build(0)) // cube 0 pages (stride 16 pages keeps cube 0)
-	far := RunTrace(cfg, sp, build(3))  // cube 3 pages
+	near := RunSource(cfg, sp, build(0)) // cube 0 pages (stride 16 pages keeps cube 0)
+	far := RunSource(cfg, sp, build(3))  // cube 3 pages
 	if far.Cycles <= near.Cycles {
 		t.Fatalf("far-cube stream (%d) not slower than near (%d)", far.Cycles, near.Cycles)
 	}

@@ -278,17 +278,11 @@ func (c Config) Substrate() pou.Substrate {
 	return substrateOf(c.memConfig().New(sim.NewStats()))
 }
 
-// New assembles a machine for the given materialized trace. The trace
-// must have been generated against space and have at most cfg.NumCores
-// threads.
-func New(cfg Config, space *memmap.AddressSpace, tr *trace.Trace) *Machine {
-	return NewSource(cfg, space, tr)
-}
-
 // NewSource assembles a machine replaying any trace.Source — a
-// materialized *Trace or a streamed *trace.Stream. Replay is
-// byte-identical across source kinds: the cores consume the same record
-// sequence either way, only the window granularity differs.
+// materialized *Trace or a streamed *trace.Stream. The source must have
+// been generated against space and have at most cfg.NumCores threads.
+// Replay is byte-identical across source kinds: the cores consume the
+// same record sequence either way, only the window granularity differs.
 func NewSource(cfg Config, space *memmap.AddressSpace, src trace.Source) *Machine {
 	if src.NumThreads() > cfg.NumCores {
 		panic(fmt.Sprintf("machine: trace has %d threads but machine has %d cores",
@@ -636,13 +630,8 @@ func (m *Machine) result(now uint64) Result {
 	}
 }
 
-// RunTrace is the one-call convenience used by the harness: assemble a
-// machine for cfg and replay tr.
-func RunTrace(cfg Config, space *memmap.AddressSpace, tr *trace.Trace) Result {
-	return New(cfg, space, tr).Run(0)
-}
-
-// RunSource is RunTrace for any trace.Source (materialized or streamed).
+// RunSource is the one-call convenience: assemble a machine for cfg and
+// replay src (materialized or streamed) to completion.
 func RunSource(cfg Config, space *memmap.AddressSpace, src trace.Source) Result {
 	return NewSource(cfg, space, src).Run(0)
 }

@@ -43,7 +43,7 @@ func synthWorkload(threads, opsPerThread, propVerts int, seed uint64) (*memmap.A
 
 func TestRunCompletesAndRetiresEverything(t *testing.T) {
 	sp, tr := synthWorkload(4, 200, 1<<14, 1)
-	res := RunTrace(Baseline(), sp, tr)
+	res := RunSource(Baseline(), sp, tr)
 	if res.Instructions != tr.TotalInstructions() {
 		t.Fatalf("retired %d, trace has %d", res.Instructions, tr.TotalInstructions())
 	}
@@ -54,10 +54,10 @@ func TestRunCompletesAndRetiresEverything(t *testing.T) {
 
 func TestGraphPIMFasterThanBaselineOnAtomicHeavyWorkload(t *testing.T) {
 	sp, tr := synthWorkload(8, 400, 1<<22, 2)
-	base := RunTrace(Baseline(), sp, tr)
-	gp := RunTrace(GraphPIM(false), sp, tr)
+	base := RunSource(Baseline(), sp, tr)
+	gp := RunSource(GraphPIM(false), sp, tr)
 	sp2, tr2 := synthWorkload(8, 400, 1<<22, 2)
-	up := RunTrace(UPEI(false), sp2, tr2)
+	up := RunSource(UPEI(false), sp2, tr2)
 
 	if s := gp.Speedup(base); s < 1.2 {
 		t.Fatalf("GraphPIM speedup %.2f over baseline, want > 1.2", s)
@@ -73,8 +73,8 @@ func TestGraphPIMFasterThanBaselineOnAtomicHeavyWorkload(t *testing.T) {
 
 func TestGraphPIMReducesBandwidth(t *testing.T) {
 	sp, tr := synthWorkload(8, 400, 1<<22, 3)
-	base := RunTrace(Baseline(), sp, tr)
-	gp := RunTrace(GraphPIM(false), sp, tr)
+	base := RunSource(Baseline(), sp, tr)
+	gp := RunSource(GraphPIM(false), sp, tr)
 	if gp.TotalFlits() >= base.TotalFlits() {
 		t.Fatalf("GraphPIM flits %d not below baseline %d", gp.TotalFlits(), base.TotalFlits())
 	}
@@ -82,8 +82,8 @@ func TestGraphPIMReducesBandwidth(t *testing.T) {
 
 func TestOffloadCountersDiffer(t *testing.T) {
 	sp, tr := synthWorkload(2, 100, 1<<12, 4)
-	base := RunTrace(Baseline(), sp, tr)
-	gp := RunTrace(GraphPIM(false), sp, tr)
+	base := RunSource(Baseline(), sp, tr)
+	gp := RunSource(GraphPIM(false), sp, tr)
 	if base.Stats["mem.pim_atomics"] != 0 {
 		t.Fatal("baseline offloaded atomics")
 	}
@@ -103,7 +103,7 @@ func TestOffloadCountersDiffer(t *testing.T) {
 
 func TestCandidateMissRateTracked(t *testing.T) {
 	sp, tr := synthWorkload(2, 200, 1<<22, 5)
-	base := RunTrace(Baseline(), sp, tr)
+	base := RunSource(Baseline(), sp, tr)
 	total := base.Stats["pou.candidates"]
 	hm := base.Stats["pou.candidates.hit"] + base.Stats["pou.candidates.miss"]
 	if total == 0 || hm != total {
@@ -118,12 +118,12 @@ func TestCandidateMissRateTracked(t *testing.T) {
 
 func TestAtomicOverheadAttribution(t *testing.T) {
 	sp, tr := synthWorkload(2, 200, 1<<14, 6)
-	base := RunTrace(Baseline(), sp, tr)
+	base := RunSource(Baseline(), sp, tr)
 	if base.Stats["cpu.atomic.incore_cycles"] == 0 || base.Stats["cpu.atomic.incache_cycles"] == 0 {
 		t.Fatalf("atomic attribution empty: %v %v",
 			base.Stats["cpu.atomic.incore_cycles"], base.Stats["cpu.atomic.incache_cycles"])
 	}
-	gp := RunTrace(GraphPIM(false), sp, tr)
+	gp := RunSource(GraphPIM(false), sp, tr)
 	if gp.Stats["cpu.atomic.incore_cycles"] != 0 {
 		t.Fatal("GraphPIM charged in-core atomic overhead")
 	}
@@ -131,7 +131,7 @@ func TestAtomicOverheadAttribution(t *testing.T) {
 
 func TestIPCAndMPKI(t *testing.T) {
 	sp, tr := synthWorkload(4, 200, 1<<22, 7)
-	res := RunTrace(Baseline(), sp, tr)
+	res := RunSource(Baseline(), sp, tr)
 	ipc := res.IPC(16)
 	if ipc <= 0 || ipc > 4 {
 		t.Fatalf("IPC = %v out of range", ipc)
@@ -179,7 +179,7 @@ func TestBarrierSynchronizesThreads(t *testing.T) {
 	b.Barrier()
 	b.Thread(1).Load(prop, 8, false)
 	tr := b.Build()
-	res := RunTrace(Baseline(), sp, tr)
+	res := RunSource(Baseline(), sp, tr)
 	if res.Stats["machine.barriers"] == 0 {
 		t.Fatal("no barrier release recorded")
 	}
@@ -196,8 +196,8 @@ func TestFPExtensionChangesRouting(t *testing.T) {
 		b.Thread(0).Atomic(trace.AtomicFPAdd, prop+memmap.Addr(i*8), 8, false, false, false)
 	}
 	tr := b.Build()
-	plain := RunTrace(GraphPIM(false), sp, tr)
-	ext := RunTrace(GraphPIM(true), sp, tr)
+	plain := RunSource(GraphPIM(false), sp, tr)
+	ext := RunSource(GraphPIM(true), sp, tr)
 	if plain.Stats["mem.pim_atomics"] != 0 {
 		t.Fatal("FP atomics offloaded without the extension")
 	}
@@ -208,8 +208,8 @@ func TestFPExtensionChangesRouting(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	sp, tr := synthWorkload(4, 100, 1<<12, 9)
-	a := RunTrace(GraphPIM(false), sp, tr)
-	b := RunTrace(GraphPIM(false), sp, tr)
+	a := RunSource(GraphPIM(false), sp, tr)
+	b := RunSource(GraphPIM(false), sp, tr)
 	if a.Cycles != b.Cycles || a.Instructions != b.Instructions {
 		t.Fatalf("nondeterministic runs: %d/%d vs %d/%d", a.Cycles, a.Instructions, b.Cycles, b.Instructions)
 	}
@@ -217,7 +217,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestMaxCyclesGuard(t *testing.T) {
 	sp, tr := synthWorkload(4, 5000, 1<<22, 10)
-	m := New(Baseline(), sp, tr)
+	m := NewSource(Baseline(), sp, tr)
 	res := m.Run(1000)
 	if res.Cycles > 1000 {
 		t.Fatalf("maxCycles not honored: ran %d cycles past the 1000 limit", res.Cycles)
@@ -231,5 +231,5 @@ func TestNewPanicsOnTooManyThreads(t *testing.T) {
 			t.Fatal("17 threads on 16 cores did not panic")
 		}
 	}()
-	New(Baseline(), sp, tr)
+	NewSource(Baseline(), sp, tr)
 }

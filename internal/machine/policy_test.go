@@ -40,8 +40,8 @@ func TestPolicyStaticEquivalence(t *testing.T) {
 					viaPolicy.Mem = mc2
 				}
 				viaPolicy.Policy = pou.NewStatic(viaPolicy.Name, viaPolicy.POU)
-				a := RunTrace(plain, sp, tr)
-				b := RunTrace(viaPolicy, sp, tr)
+				a := RunSource(plain, sp, tr)
+				b := RunSource(viaPolicy, sp, tr)
 				if !reflect.DeepEqual(a, b) {
 					t.Fatalf("seed %d kind %s config %d: concrete config and Static policy diverge:\n%+v\n%+v",
 						seed, kind, ci, a, b)
@@ -60,14 +60,14 @@ func TestPolicyOverridesPOUField(t *testing.T) {
 
 	cfg := Baseline()
 	cfg.Policy = pou.GraphPIMPolicy(true)
-	res := RunTrace(cfg, sp, tr)
+	res := RunSource(cfg, sp, tr)
 	if res.Stats["mem.pim_atomics"] == 0 {
 		t.Fatalf("Baseline POU + GraphPIM policy offloaded nothing: %+v", res.Stats)
 	}
 
 	inv := GraphPIM(true)
 	inv.Policy = pou.BaselinePolicy()
-	res = RunTrace(inv, sp, tr)
+	res = RunSource(inv, sp, tr)
 	if res.Stats["mem.pim_atomics"] != 0 {
 		t.Fatalf("GraphPIM POU + Baseline policy still offloaded %d atomics",
 			res.Stats["mem.pim_atomics"])

@@ -117,8 +117,8 @@ func TestSchedulerEquivalence(t *testing.T) {
 		if trial%3 == 2 {
 			maxCycles = 50 + r.Uint64()%5000
 		}
-		event := New(cfg, sp, tr).Run(maxCycles)
-		scan := New(cfg, sp, tr).runScan(maxCycles)
+		event := NewSource(cfg, sp, tr).Run(maxCycles)
+		scan := NewSource(cfg, sp, tr).runScan(maxCycles)
 		diffResults(t, fmt.Sprintf("trial %d (%s, max=%d) event vs scan", trial, cfg.Name, maxCycles),
 			event, scan)
 	}
@@ -139,7 +139,7 @@ func TestMultipleBarriersRelease(t *testing.T) {
 		b.Barrier()
 	}
 	tr := b.Build()
-	res := RunTrace(Baseline(), sp, tr)
+	res := RunSource(Baseline(), sp, tr)
 	if got := res.Stats["machine.barriers"]; got != rounds {
 		t.Fatalf("machine.barriers = %d, want %d", got, rounds)
 	}
@@ -159,7 +159,7 @@ func TestTrailingBarrier(t *testing.T) {
 	}
 	b.Barrier()
 	tr := b.Build()
-	res := RunTrace(Baseline(), sp, tr)
+	res := RunSource(Baseline(), sp, tr)
 	if res.Stats["machine.barriers"] != 1 {
 		t.Fatalf("machine.barriers = %d, want 1", res.Stats["machine.barriers"])
 	}
@@ -177,7 +177,7 @@ func TestDeadlockPanics(t *testing.T) {
 	tickCore = func(c *cpu.Core, now, elapsed uint64) uint64 { return ^uint64(0) }
 
 	sp, tr := synthWorkload(2, 10, 1<<12, 21)
-	m := New(Baseline(), sp, tr)
+	m := NewSource(Baseline(), sp, tr)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("stuck cores did not panic")
@@ -191,7 +191,7 @@ func TestDeadlockPanics(t *testing.T) {
 func TestMaxCyclesClamped(t *testing.T) {
 	sp, tr := synthWorkload(4, 5000, 1<<22, 10)
 	const limit = 1000
-	res := New(Baseline(), sp, tr).Run(limit)
+	res := NewSource(Baseline(), sp, tr).Run(limit)
 	if res.Cycles != limit {
 		t.Fatalf("truncated run reported %d cycles, want exactly %d", res.Cycles, limit)
 	}
@@ -201,8 +201,8 @@ func TestMaxCyclesClamped(t *testing.T) {
 
 	// A run that finishes under the limit reports its natural length.
 	sp2, tr2 := synthWorkload(1, 2, 1<<10, 11)
-	free := New(Baseline(), sp2, tr2).Run(0)
-	capped := New(Baseline(), sp2, tr2).Run(free.Cycles + 100000)
+	free := NewSource(Baseline(), sp2, tr2).Run(0)
+	capped := NewSource(Baseline(), sp2, tr2).Run(free.Cycles + 100000)
 	if capped.Cycles != free.Cycles {
 		t.Fatalf("generous limit changed cycles: %d vs %d", capped.Cycles, free.Cycles)
 	}

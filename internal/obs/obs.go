@@ -184,14 +184,11 @@ type EnvInfo struct {
 	SweepSizes   []int  `json:"sweep_sizes"`
 	AppVertices  int    `json:"app_vertices"`
 	Parallelism  int    `json:"parallelism"`
-	// Stream records whether traces were built through the streaming
-	// spill pipeline (DESIGN.md §13). Results are byte-identical either
-	// way; recorded for provenance.
-	Stream bool `json:"stream,omitempty"`
 	// Memory is the memory backend kind the machines were assembled
-	// against ("" means the default HMC chain). Unlike Stream it
-	// changes simulated numbers, so replay must rebuild the same
-	// backend.
+	// against ("" means the default HMC chain). It changes simulated
+	// numbers, so replay must rebuild the same backend. (Manifests from
+	// older builds may also carry "stream", the retired trace-pipeline
+	// switch; it never changed a number and loading ignores it.)
 	Memory string `json:"memory,omitempty"`
 	// Policy is the placement-policy override applied to every offload
 	// cell ("" none, "auto" tuner-decided, "host"/"pim"/"upei" pinned).

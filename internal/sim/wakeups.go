@@ -21,7 +21,7 @@ import (
 // ids fit below shift, comparing keys as unsigned integers compares
 // (time, id) lexicographically, so the queue minimum is a plain min over
 // at most 32 keys, with no branch per slot. The minimum is cached and
-// recomputed only after it is popped, removed or moved later.
+// recomputed only after it is popped or moved later.
 type Wakeups struct {
 	keys   []uint64 // actor id -> packed key, noKey when unscheduled
 	shift  uint     // bits.Len(n): width of the id field
@@ -58,10 +58,6 @@ func (w *Wakeups) Len() int { return w.n }
 // Scheduled reports whether id currently has a wake time.
 func (w *Wakeups) Scheduled(id int) bool { return w.keys[id] != noKey }
 
-// At returns id's scheduled wake time; only meaningful when
-// Scheduled(id) is true.
-func (w *Wakeups) At(id int) uint64 { return w.keys[id] >> w.shift }
-
 // Schedule sets id's wake time to t, inserting the actor if absent or
 // moving it if already queued. It panics if t exceeds maxTime: a wrapped
 // key would silently reorder actors due in the same cycle.
@@ -88,19 +84,6 @@ func (w *Wakeups) Schedule(id int, t uint64) {
 // Schedule so the hot path stays small.
 func (w *Wakeups) overflow(id int, t uint64) {
 	panic(fmt.Sprintf("sim: wake time %d for actor %d exceeds the packed-key bound %d", t, id, w.maxTime()))
-}
-
-// Remove unschedules id; removing an unscheduled actor is a no-op.
-func (w *Wakeups) Remove(id int) {
-	old := w.keys[id]
-	if old == noKey {
-		return
-	}
-	w.keys[id] = noKey
-	w.n--
-	if old == w.min {
-		w.minOK = false
-	}
 }
 
 // minKey returns the (time, id)-smallest key, noKey on an empty queue.

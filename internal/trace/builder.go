@@ -51,9 +51,6 @@ func NewStreamingBuilder(space *memmap.AddressSpace, sw *StreamWriter) *Builder 
 	return b
 }
 
-// Streaming reports whether the builder spills to a StreamWriter.
-func (b *Builder) Streaming() bool { return b.sw != nil }
-
 // flush spills thread t's buffered records as one chunk. Unless final, a
 // trailing flag-free, unsaturated compute record stays behind in the
 // fresh buffer: Compute coalesces into the last such record, so keeping
@@ -106,8 +103,8 @@ func (b *Builder) Barrier() {
 	}
 	if b.sw != nil {
 		// Barriers are checkpoint boundaries: flush everything (the
-		// barrier is last, so nothing coalescible is pending) and mark
-		// the per-thread positions in the log.
+		// barrier is last, so nothing coalescible is pending) and write
+		// the checkpoint tag.
 		for t := range b.threads {
 			b.flush(t, false)
 		}
@@ -115,12 +112,17 @@ func (b *Builder) Barrier() {
 	}
 }
 
-// Build finalizes the trace. The Builder may continue to be used; Build
-// snapshots the current streams. Streaming builders cannot materialize —
-// use Finalize.
+// Build finalizes the trace and ends the Builder: each thread is copied
+// into an exact-size slice (dropping the append slack) and the builder's
+// own buffers are released, so a trace held for replay is not held twice.
+// Emitting after Build, or a second Build, panics. Streaming builders
+// cannot materialize — use Finalize.
 func (b *Builder) Build() *Trace {
 	if b.sw != nil {
 		panic("trace: Build on a streaming Builder; use Finalize")
+	}
+	if b.threads == nil {
+		panic("trace: Build on a Builder that was already built")
 	}
 	threads := make([][]Instr, len(b.threads))
 	for i, th := range b.threads {
@@ -128,6 +130,7 @@ func (b *Builder) Build() *Trace {
 		copy(cp, th)
 		threads[i] = cp
 	}
+	b.threads = nil
 	return &Trace{Threads: threads}
 }
 

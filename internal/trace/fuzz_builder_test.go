@@ -2,7 +2,7 @@ package trace
 
 import (
 	"bytes"
-	"reflect"
+	"slices"
 	"testing"
 
 	"graphpim/internal/memmap"
@@ -13,7 +13,7 @@ import (
 // one nontrivial behaviour — coalescing and splitting compute batches
 // around the 65535-per-record cap — must never change the dynamic
 // instruction count a trace expands to, and whatever it builds must
-// survive a Write/Read round trip record for record.
+// survive a WriteV2/OpenStream round trip record for record.
 //
 // Script bytes decode as: low 3 bits select the op, the rest is the
 // operand (compute batch length, address index, or flag bits).
@@ -86,15 +86,20 @@ func FuzzBuilder(f *testing.F) {
 		}
 
 		var buf bytes.Buffer
-		if err := Write(&buf, tr, sp); err != nil {
+		if err := WriteV2(&buf, tr, sp); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		again, sp2, err := Read(&buf)
+		again, sp2, err := readAll(buf.Bytes())
 		if err != nil {
 			t.Fatalf("read back freshly written trace: %v", err)
 		}
-		if !reflect.DeepEqual(again.Threads, tr.Threads) {
-			t.Fatal("round trip changed instruction records")
+		if again.NumThreads() != tr.NumThreads() {
+			t.Fatalf("round trip changed the thread count: %d != %d", again.NumThreads(), tr.NumThreads())
+		}
+		for th := range tr.Threads {
+			if !slices.Equal(again.Threads[th], tr.Threads[th]) {
+				t.Fatalf("round trip changed thread %d's instruction records", th)
+			}
 		}
 		// The restored address space must classify the PMR the same way.
 		if sp2.InPMR(prop) != sp.InPMR(prop) || sp2.InPMR(heap) != sp.InPMR(heap) {

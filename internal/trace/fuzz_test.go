@@ -5,70 +5,75 @@ import (
 	"testing"
 )
 
-// FuzzRead hardens the binary trace parser against corrupt and
+// FuzzRead hardens the trace reader (OpenStream) against corrupt and
 // adversarial inputs: it must either return an error or a structurally
-// valid trace, never panic or over-allocate.
+// valid stream, never panic or over-allocate. Every record of an accepted
+// stream must be in range and survive a WriteV2/OpenStream round trip.
 func FuzzRead(f *testing.F) {
-	// Seed with a valid trace and a few mutations.
+	// Seed with valid logs and a few mutations.
 	tr, sp := buildSampleTrace(1)
 	var buf bytes.Buffer
-	if err := Write(&buf, tr, sp); err != nil {
+	if err := WriteV2(&buf, tr, sp); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte("GPIMTRC1"))
-	truncated := append([]byte(nil), valid[:len(valid)/2]...)
-	f.Add(truncated)
+	f.Add(append([]byte(nil), valid[:len(valid)/2]...))
 	flipped := append([]byte(nil), valid...)
-	flipped[9] ^= 0xFF
+	flipped[17] ^= 0xFF
 	f.Add(flipped)
-
-	// v2 seeds: the chunked format shares the Read entry point, so the
-	// same fuzzer hardens its scanner (varint chunk headers, footer
-	// cross-checks) against the same mutations.
-	var buf2 bytes.Buffer
-	if err := WriteV2(&buf2, tr, sp); err != nil {
+	f.Add([]byte("GPIMTRC2"))
+	f.Add(append([]byte(nil), valid[:len(valid)-8]...))
+	// A streaming Builder's log carries barrier checkpoint tags.
+	cpSpace, meta, prop, prop2 := sampleSpace()
+	var cpBuf bytes.Buffer
+	sw, err := NewStreamWriter(&cpBuf, 3, 32)
+	if err != nil {
 		f.Fatal(err)
 	}
-	valid2 := buf2.Bytes()
-	f.Add(valid2)
-	f.Add([]byte("GPIMTRC2"))
-	f.Add(append([]byte(nil), valid2[:len(valid2)/2]...))
-	flipped2 := append([]byte(nil), valid2...)
-	flipped2[17] ^= 0xFF
-	f.Add(flipped2)
-	noFooter := append([]byte(nil), valid2[:len(valid2)-8]...)
-	f.Add(noFooter)
+	b := NewStreamingBuilder(cpSpace, sw)
+	emitSample(b, 5, meta, prop, prop2, 2, 20)
+	if _, err := b.Finalize(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(cpBuf.Bytes())
+	footer := append([]byte(nil), valid...)
+	footer[len(valid)-10] ^= 0x01
+	f.Add(footer)
+	f.Add([]byte("not a trace file"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, space, err := Read(bytes.NewReader(data))
+		st, err := OpenStream(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if got == nil || space == nil {
-			t.Fatal("nil result without error")
+		if st.NumThreads() == 0 || st.NumThreads() > 1024 {
+			t.Fatalf("implausible thread count %d accepted", st.NumThreads())
 		}
-		if got.NumThreads() == 0 || got.NumThreads() > 1024 {
-			t.Fatalf("implausible thread count %d accepted", got.NumThreads())
-		}
-		// Every record of an accepted trace must be in-range: the machine
+		// Every record of an accepted stream must be in range: the machine
 		// indexes counter arrays by these fields, so an invalid record that
-		// slips through the parser is a replay panic waiting to happen.
+		// slips through the reader is a replay panic waiting to happen.
+		got := &Trace{Threads: make([][]Instr, st.NumThreads())}
 		for th := range got.Threads {
+			cur := st.Cursor(th)
+			got.Threads[th] = drain(cur)
 			for i, in := range got.Threads[th] {
 				if err := validateInstr(in); err != nil {
 					t.Fatalf("thread %d record %d invalid after accept: %v", th, i, err)
 				}
 			}
+			if n := CountRecords(got.Threads[th]); n != cur.Counts() {
+				t.Fatalf("thread %d: cursor counts %+v, records count %+v", th, cur.Counts(), n)
+			}
 		}
-		// A successfully parsed trace must round-trip.
+		// An accepted stream must round-trip.
 		var buf bytes.Buffer
-		if err := Write(&buf, got, space); err != nil {
+		if err := WriteV2(&buf, got, st.Space()); err != nil {
 			t.Fatalf("rewrite failed: %v", err)
 		}
-		again, _, err := Read(&buf)
+		again, _, err := readAll(buf.Bytes())
 		if err != nil {
 			t.Fatalf("reparse failed: %v", err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"graphpim/internal/memmap"
@@ -146,10 +147,10 @@ func TestStreamingBuilderIdentity(t *testing.T) {
 				}
 			}
 			for th := range want.Threads {
-				if got := st.ThreadCounts(th); got != CountRecords(want.Threads[th]) {
+				cur := st.Cursor(th)
+				if got := cur.Counts(); got != CountRecords(want.Threads[th]) {
 					t.Fatalf("thread %d counts %+v != %+v", th, got, CountRecords(want.Threads[th]))
 				}
-				cur := st.Cursor(th)
 				diffRecords(t, fmt.Sprintf("thread %d", th), drain(cur), want.Threads[th])
 				// Cursor invariants must hold after a full drain too.
 				if b, ok := cur.(interface{ AuditBounds() error }); ok {
@@ -162,71 +163,34 @@ func TestStreamingBuilderIdentity(t *testing.T) {
 	}
 }
 
-// TestStreamCheckpoints verifies barrier checkpoints are replayable
-// seek points: the cursor at checkpoint cp must yield exactly the
-// records after the cp-th barrier of the materialized stream.
-func TestStreamCheckpoints(t *testing.T) {
-	const epochs = 4
-	want, _ := materializedSample(11, epochs, 60)
-	st := streamedSample(t, 11, epochs, 60, 64)
-
-	if st.NumCheckpoints() != epochs {
-		t.Fatalf("checkpoints %d, want %d", st.NumCheckpoints(), epochs)
-	}
-	// afterBarrier[t][cp] is the record index just past the cp-th barrier.
-	for cp := 0; cp < epochs; cp++ {
-		for th := range want.Threads {
-			seen, pos := 0, len(want.Threads[th])
-			for i, in := range want.Threads[th] {
-				if in.Kind == KindBarrier {
-					if seen == cp {
-						pos = i + 1
-						break
-					}
-					seen++
-				}
-			}
-			cur, err := st.CursorAt(th, cp)
-			if err != nil {
-				t.Fatalf("CursorAt(%d, %d): %v", th, cp, err)
-			}
-			suffix := want.Threads[th][pos:]
-			if got := cur.Counts(); got != CountRecords(suffix) {
-				t.Fatalf("cursor(%d, %d) counts %+v != %+v", th, cp, got, CountRecords(suffix))
-			}
-			diffRecords(t, fmt.Sprintf("thread %d from cp %d", th, cp), drain(cur), suffix)
-		}
-	}
-	if _, err := st.CursorAt(0, epochs); err == nil {
-		t.Fatal("out-of-range checkpoint accepted")
-	}
-	if _, err := st.CursorAt(-1, 0); err == nil {
-		t.Fatal("negative thread accepted")
-	}
-	if _, err := st.CursorAt(st.NumThreads(), 0); err == nil {
-		t.Fatal("out-of-range thread accepted")
-	}
-}
-
-// TestWriteV2RoundTrip checks the persisted v2 format against Read:
-// records and PMR ranges must survive exactly, as they do for v1.
+// TestWriteV2RoundTrip checks the persisted v2 format through a real
+// file: records and PMR ranges must survive WriteV2 and OpenStream
+// exactly, and every cursor's counts must match its records.
 func TestWriteV2RoundTrip(t *testing.T) {
 	tr, sp := buildSampleTrace(1)
-	var buf bytes.Buffer
-	if err := WriteV2(&buf, tr, sp); err != nil {
-		t.Fatal(err)
-	}
-	got, gotSpace, err := Read(bytes.NewReader(buf.Bytes()))
+	f, err := os.Create(filepath.Join(t.TempDir(), "trace.gpimtrc2"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumThreads() != tr.NumThreads() {
-		t.Fatalf("threads %d != %d", got.NumThreads(), tr.NumThreads())
+	defer f.Close()
+	if err := WriteV2(f, tr, sp); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStream(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.NumThreads() != tr.NumThreads() {
+		t.Fatalf("threads %d != %d", st.NumThreads(), tr.NumThreads())
 	}
 	for th := range tr.Threads {
-		diffRecords(t, fmt.Sprintf("thread %d", th), got.Threads[th], tr.Threads[th])
+		cur := st.Cursor(th)
+		if got := cur.Counts(); got != CountRecords(tr.Threads[th]) {
+			t.Fatalf("thread %d counts %+v != %+v", th, got, CountRecords(tr.Threads[th]))
+		}
+		diffRecords(t, fmt.Sprintf("thread %d", th), drain(cur), tr.Threads[th])
 	}
-	want, have := sp.UCRanges(), gotSpace.UCRanges()
+	want, have := sp.UCRanges(), st.Space().UCRanges()
 	if len(want) != len(have) {
 		t.Fatalf("UC ranges %d != %d", len(have), len(want))
 	}
@@ -237,10 +201,11 @@ func TestWriteV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestOpenStreamMatchesRead checks the other replay path for persisted
-// files: OpenStream over the bytes WriteV2 produced must see the same
-// records, counts, and PMR ranges that materializing Read sees. It also
-// covers the Finalize contract for non-seekable writers (nil Stream).
+// TestOpenStreamMatchesRead checks a log written by a streaming Builder
+// (barrier checkpoints, tiny chunks) against the same emissions through
+// a materializing Builder: OpenStream must see the same records, counts
+// and PMR ranges. It also covers the Finalize contract for non-seekable
+// writers (nil Stream).
 func TestOpenStreamMatchesRead(t *testing.T) {
 	sp, meta, prop, prop2 := sampleSpace()
 	var buf bytes.Buffer
@@ -258,10 +223,7 @@ func TestOpenStreamMatchesRead(t *testing.T) {
 		t.Fatal("Finalize returned a Stream for a non-ReaderAt writer")
 	}
 
-	tr, trSpace, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, trSpace := materializedSample(3, 2, 80)
 	st, err := OpenStream(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -270,10 +232,11 @@ func TestOpenStreamMatchesRead(t *testing.T) {
 		t.Fatalf("threads %d != %d", st.NumThreads(), tr.NumThreads())
 	}
 	for th := range tr.Threads {
-		diffRecords(t, fmt.Sprintf("thread %d", th), drain(st.Cursor(th)), tr.Threads[th])
-		if got := st.ThreadCounts(th); got != CountRecords(tr.Threads[th]) {
+		cur := st.Cursor(th)
+		if got := cur.Counts(); got != CountRecords(tr.Threads[th]) {
 			t.Fatalf("thread %d counts %+v != %+v", th, got, CountRecords(tr.Threads[th]))
 		}
+		diffRecords(t, fmt.Sprintf("thread %d", th), drain(cur), tr.Threads[th])
 	}
 	want, have := trSpace.UCRanges(), st.Space().UCRanges()
 	if len(want) != len(have) {
@@ -313,61 +276,9 @@ func TestStripSourceMatchesStripAtomics(t *testing.T) {
 	}
 }
 
-// TestV1ReadValidation corrupts individual record fields of a valid v1
-// file and checks each is rejected with a positioned error naming the
-// record, not silently replayed as garbage.
-func TestV1ReadValidation(t *testing.T) {
-	// One thread, no PMR ranges: the first record starts at
-	// magic(8) + header(8) + count(8) = 24.
-	sp := memmap.NewAddressSpace()
-	meta := sp.AllocMeta(4096)
-	b := NewBuilder(sp, 1)
-	e := b.Thread(0)
-	e.Load(meta, 8, false)
-	e.Store(meta+8, 8, false)
-	tr := b.Build()
-	var buf bytes.Buffer
-	if err := Write(&buf, tr, sp); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-	const rec0 = 8 + 8 + 8
-	cases := []struct {
-		name string
-		off  int
-		val  byte
-	}{
-		{"kind", rec0 + 11, 200},
-		{"atomic", rec0 + 12, 99},
-		{"region", rec0 + 13, 77},
-		{"flags", rec0 + 14, 0xF0},
-		{"pad", rec0 + 15, 1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			data := append([]byte(nil), valid...)
-			data[tc.off] = tc.val
-			_, _, err := Read(bytes.NewReader(data))
-			if err == nil {
-				t.Fatalf("corrupt %s byte accepted", tc.name)
-			}
-			if !bytes.Contains([]byte(err.Error()), []byte("instr 0")) {
-				t.Fatalf("error not positioned at record 0: %v", err)
-			}
-		})
-	}
-	// The second record must be named too.
-	data := append([]byte(nil), valid...)
-	data[rec0+16+11] = 200
-	if _, _, err := Read(bytes.NewReader(data)); err == nil {
-		t.Fatal("corrupt second record accepted")
-	} else if !bytes.Contains([]byte(err.Error()), []byte("instr 1")) {
-		t.Fatalf("error not positioned at record 1: %v", err)
-	}
-}
-
-// TestV2ReadRejectsCorrupt feeds structurally broken v2 inputs to both
-// v2 entry points; each must error out rather than panic or accept.
+// TestV2ReadRejectsCorrupt feeds garbage, empty, truncated and
+// structurally broken inputs to OpenStream; each must error out rather
+// than panic or accept.
 func TestV2ReadRejectsCorrupt(t *testing.T) {
 	tr, sp := buildSampleTrace(2)
 	var buf bytes.Buffer
@@ -381,28 +292,45 @@ func TestV2ReadRejectsCorrupt(t *testing.T) {
 		data[off] = val
 		return data
 	}
+	// A one-thread log holding a single barrier: its payload is the one
+	// lead byte after the 16-byte header and the chunk's 4-byte prefix.
+	bsp := memmap.NewAddressSpace()
+	bb := NewBuilder(bsp, 1)
+	bb.Barrier()
+	var bbuf bytes.Buffer
+	if err := WriteV2(&bbuf, bb.Build(), bsp); err != nil {
+		t.Fatal(err)
+	}
+	flaggedBarrier := append([]byte(nil), bbuf.Bytes()...)
+	if flaggedBarrier[20] != byte(KindBarrier) {
+		t.Fatalf("barrier lead byte %#x, want %#x", flaggedBarrier[20], byte(KindBarrier))
+	}
+	flaggedBarrier[20] |= FlagDepPrev << 3
 	cases := map[string][]byte{
-		"truncated header":    valid[:12],
-		"truncated chunk log": valid[:len(valid)/2],
-		"truncated footer":    valid[:len(valid)-4],
-		"zero threads":        append(append([]byte(nil), valid[:8]...), 0, 0, 0, 0),
-		"zero chunk size":     mutateRange(valid, 12, []byte{0, 0, 0, 0}),
-		"huge chunk size":     mutateRange(valid, 12, []byte{0xFF, 0xFF, 0xFF, 0xFF}),
-		"unknown tag":         mutate(16, 0x7F),
-		"bad end magic":       mutate(len(valid)-1, 'X'),
+		"garbage":                  []byte("not a trace file"),
+		"empty":                    {},
+		"truncated v1 header":      []byte("GPIMTRC1\x01\x00\x00\x00"),
+		"implausible thread count": append([]byte("GPIMTRC2"), 0, 0, 16, 0, 0, 16, 0, 0),
+		"truncated header":         valid[:12],
+		"truncated chunk log":      valid[:len(valid)/2],
+		"truncated footer":         valid[:len(valid)-4],
+		"zero threads":             append(append([]byte(nil), valid[:8]...), 0, 0, 0, 0),
+		"zero chunk size":          mutateRange(valid, 12, []byte{0, 0, 0, 0}),
+		"huge chunk size":          mutateRange(valid, 12, []byte{0xFF, 0xFF, 0xFF, 0xFF}),
+		"unknown tag":              mutate(16, 0x7F),
+		"bad end magic":            mutate(len(valid)-1, 'X'),
+		"barrier with flags":       flaggedBarrier,
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, _, err := Read(bytes.NewReader(data)); err == nil {
-				t.Fatalf("Read accepted %s", name)
-			}
 			if _, err := OpenStream(bytes.NewReader(data)); err == nil {
 				t.Fatalf("OpenStream accepted %s", name)
 			}
 		})
 	}
-	if _, err := OpenStream(bytes.NewReader([]byte("GPIMTRC1XXXX"))); err == nil {
-		t.Fatal("OpenStream accepted a v1 magic")
+	_, err := OpenStream(bytes.NewReader([]byte("GPIMTRC1XXXX")))
+	if err == nil || !strings.Contains(err.Error(), "v1") {
+		t.Fatalf("v1 magic: error %v does not name the retired format", err)
 	}
 }
 

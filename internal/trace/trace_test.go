@@ -100,14 +100,21 @@ func TestBarrierAppendsToAllThreads(t *testing.T) {
 	}
 }
 
-func TestBuildSnapshots(t *testing.T) {
+// TestBuildTwicePanics pins that Build ends the Builder: it releases the
+// builder's buffers, so a second Build must fail loudly rather than
+// return an empty trace.
+func TestBuildTwicePanics(t *testing.T) {
 	b := NewBuilder(newSpace(), 1)
 	b.Thread(0).Compute(1)
-	tr1 := b.Build()
-	b.Thread(0).Compute(1)
-	if len(tr1.Threads[0]) != 1 {
-		t.Fatal("Build did not snapshot; later emission mutated earlier trace")
+	if tr := b.Build(); len(tr.Threads[0]) != 1 {
+		t.Fatalf("built %d records, want 1", len(tr.Threads[0]))
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Build did not panic")
+		}
+	}()
+	b.Build()
 }
 
 func TestPIMOpMapping(t *testing.T) {
@@ -235,13 +242,12 @@ func TestComputeCoalescing(t *testing.T) {
 	e.Compute(10)
 	e.Compute(20)
 	e.Compute(30)
-	tr := b.Build()
-	if len(tr.Threads[0]) != 1 || tr.Threads[0][0].N != 60 {
-		t.Fatalf("adjacent computes not coalesced: %+v", tr.Threads[0])
-	}
 	// Flagged compute batches must not merge into the previous record.
 	e.DependentCompute(5)
-	tr = b.Build()
+	tr := b.Build()
+	if tr.Threads[0][0].N != 60 {
+		t.Fatalf("adjacent computes not coalesced: %+v", tr.Threads[0])
+	}
 	if len(tr.Threads[0]) < 2 {
 		t.Fatal("dependent compute merged into a flag-free batch")
 	}

@@ -9,17 +9,20 @@ import (
 	"graphpim/internal/memmap"
 )
 
-// Trace format v2 ("GPIMTRC2"): a chunked, delta/varint-compressed
-// stream. Where v1 stores flat 16-byte records per thread, v2 stores a
-// log of per-thread chunks whose payloads encode records compactly
-// (addresses as zigzag deltas against the previous address in the same
-// chunk, batch lengths as varints), interleaved in emission order. The
-// chunk log is what makes streaming work in bounded memory: the producer
-// spills chunks as threads fill them, and replay decodes one bounded
-// window per thread at a time. Checkpoint tags mark barrier boundaries —
-// every thread's position at a checkpoint falls on one of its chunk
-// boundaries (the writer force-flushes at barriers), so a replay can
-// seek to any barrier without decoding the prefix.
+// Trace format v2 ("GPIMTRC2"), the one on-disk trace format: a
+// chunked, delta/varint-compressed stream. Traces can be expensive to
+// regenerate (a workload executes functionally over the whole graph), so
+// the harness spills large ones and the CLI persists them for replay
+// against any machine configuration later. The file is a log of
+// per-thread chunks whose payloads encode records compactly (addresses as
+// zigzag deltas against the previous address in the same chunk, batch
+// lengths as varints), interleaved in emission order. The chunk log is
+// what makes streaming work in bounded memory: the producer spills chunks
+// as threads fill them, and replay decodes one bounded window per thread
+// at a time. Barriers force-flush every thread and write a checkpoint
+// tag. No reader seeks by the tags; they and the footer's checkpoint
+// count are kept for format compatibility, and the reader still checks
+// the count against the tags it saw.
 //
 // Layout (little endian):
 //
@@ -44,11 +47,14 @@ import (
 // barrier -> nothing. The delta base resets to zero at every chunk start
 // so chunks decode independently. Only canonical records — fields unused
 // by a kind left zero, exactly what Builder emits — are encodable;
-// decoding validates ranges the same way v1's reader does.
+// decoding validates every field range (validateInstr).
 
 var (
 	traceMagicV2    = [8]byte{'G', 'P', 'I', 'M', 'T', 'R', 'C', '2'}
 	traceMagicV2End = [8]byte{'G', 'P', 'I', 'M', 'T', 'R', 'C', 'E'}
+	// traceMagicV1 opened the retired flat-record format; it is kept
+	// only so OpenStream can say why such a file is rejected.
+	traceMagicV1 = [8]byte{'G', 'P', 'I', 'M', 'T', 'R', 'C', '1'}
 )
 
 const (
@@ -75,8 +81,32 @@ const (
 	maxRecordBytes = 14
 )
 
-// appendUvarint/readUvarint wrap the binary helpers; zigzag maps signed
-// address deltas onto small varints regardless of direction.
+// flagMask is every defined Instr flag bit.
+const flagMask = FlagDepPrev | FlagRetUsed | FlagCASFail
+
+// validateInstr checks every enum-like field of a record against its
+// defined range. The reader rejects invalid records at open time: the
+// machine indexes per-region counter arrays by Region and switches on
+// Kind, so a corrupt record must fail the load, not replay as garbage
+// (or panic) later.
+func validateInstr(in Instr) error {
+	if in.Kind > KindBarrier {
+		return fmt.Errorf("invalid kind %d", uint8(in.Kind))
+	}
+	if in.Atomic > AtomicMax {
+		return fmt.Errorf("invalid atomic form %d", uint8(in.Atomic))
+	}
+	if in.Region > memmap.RegionProperty {
+		return fmt.Errorf("invalid region %d", uint8(in.Region))
+	}
+	if in.Flags&^flagMask != 0 {
+		return fmt.Errorf("invalid flags %#x", in.Flags)
+	}
+	return nil
+}
+
+// zigzag maps signed address deltas onto small varints regardless of
+// direction.
 func zigzag(v int64) uint64   { return uint64(v)<<1 ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
@@ -159,6 +189,11 @@ func decodeChunk(dst []Instr, payload []byte, count int) ([]Instr, error) {
 			prev += memmap.Addr(unzigzag(d))
 			in.Addr = prev
 		case KindBarrier:
+			// appendRecord encodes only flag-free barriers; accepting
+			// any other would admit a trace WriteV2 cannot rewrite.
+			if in.Flags != 0 {
+				return dst, fmt.Errorf("record %d: barrier with flags %#x", i, in.Flags)
+			}
 		default:
 			return dst, fmt.Errorf("record %d: invalid kind %d", i, b0&0x07)
 		}
@@ -173,13 +208,11 @@ func decodeChunk(dst []Instr, payload []byte, count int) ([]Instr, error) {
 	return dst, nil
 }
 
-// chunkRef locates one chunk in the backing file, with cumulative counts
-// at its start so suffix cursors (checkpoint seeks) know their totals.
+// chunkRef locates one chunk in the backing file.
 type chunkRef struct {
-	off   int64  // payload offset
-	bytes int32  // payload length
-	count int32  // records in the chunk
-	start Counts // cumulative thread counts before this chunk
+	off   int64 // payload offset
+	bytes int32 // payload length
+	count int32 // records in the chunk
 }
 
 // chunkMsg travels from the producing (workload) goroutine to the encoder
@@ -216,7 +249,7 @@ type StreamWriter struct {
 	counts      []Counts
 	kinds       [5]uint64
 	atomics     [numAtomicForms]uint64
-	checkpoints [][]uint64
+	checkpoints uint64
 	dst         io.Writer
 }
 
@@ -354,7 +387,6 @@ func (w *StreamWriter) writeChunk(tid int, recs []Instr) error {
 		off:   w.off,
 		bytes: int32(len(raw)),
 		count: int32(len(recs)),
-		start: w.counts[tid],
 	})
 	for _, in := range recs {
 		w.counts[tid].add(in)
@@ -363,11 +395,7 @@ func (w *StreamWriter) writeChunk(tid int, recs []Instr) error {
 }
 
 func (w *StreamWriter) writeCheckpoint() error {
-	pos := make([]uint64, w.threads)
-	for t := range pos {
-		pos[t] = w.counts[t].Records
-	}
-	w.checkpoints = append(w.checkpoints, pos)
+	w.checkpoints++
 	return w.write([]byte{tagCheckpoint})
 }
 
@@ -396,7 +424,7 @@ func (w *StreamWriter) writeFooter() error {
 	for _, n := range w.atomics {
 		buf = binary.AppendUvarint(buf, n)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(w.checkpoints)))
+	buf = binary.AppendUvarint(buf, w.checkpoints)
 	buf = append(buf, traceMagicV2End[:]...)
 	if err := w.write(buf); err != nil {
 		return err
@@ -421,14 +449,13 @@ func (w *StreamWriter) Finalize(space *memmap.AddressSpace) (*Stream, error) {
 		return nil, nil
 	}
 	return &Stream{
-		ra:          ra,
-		chunkCap:    w.chunkCap,
-		chunks:      w.index,
-		counts:      w.counts,
-		checkpoints: w.checkpoints,
-		kinds:       w.kinds,
-		atomics:     w.atomics,
-		ranges:      ucRangesOf(space),
+		ra:       ra,
+		chunkCap: w.chunkCap,
+		chunks:   w.index,
+		counts:   w.counts,
+		kinds:    w.kinds,
+		atomics:  w.atomics,
+		ranges:   ucRangesOf(space),
 	}, nil
 }
 
@@ -444,21 +471,17 @@ func ucRangesOf(space *memmap.AddressSpace) [][2]memmap.Addr {
 // concurrently — each Cursor holds its own decode ring; the backing
 // io.ReaderAt is accessed only through offset reads.
 type Stream struct {
-	ra          io.ReaderAt
-	chunkCap    int
-	chunks      [][]chunkRef
-	counts      []Counts
-	checkpoints [][]uint64
-	kinds       [5]uint64
-	atomics     [numAtomicForms]uint64
-	ranges      [][2]memmap.Addr
+	ra       io.ReaderAt
+	chunkCap int
+	chunks   [][]chunkRef
+	counts   []Counts
+	kinds    [5]uint64
+	atomics  [numAtomicForms]uint64
+	ranges   [][2]memmap.Addr
 }
 
 // NumThreads returns the thread count.
 func (s *Stream) NumThreads() int { return len(s.chunks) }
-
-// ThreadCounts returns thread t's stream totals.
-func (s *Stream) ThreadCounts(t int) Counts { return s.counts[t] }
 
 // TotalInstructions mirrors Trace.TotalInstructions.
 func (s *Stream) TotalInstructions() uint64 {
@@ -497,11 +520,7 @@ func (s *Stream) AtomicsByKind() map[HostAtomic]uint64 {
 	return m
 }
 
-// NumCheckpoints returns the number of barrier checkpoints in the log.
-func (s *Stream) NumCheckpoints() int { return len(s.checkpoints) }
-
-// Space rebuilds an address space carrying the stream's PMR ranges, as
-// Read does for v1 files.
+// Space rebuilds an address space carrying the stream's PMR ranges.
 func (s *Stream) Space() *memmap.AddressSpace {
 	space := memmap.NewAddressSpace()
 	for _, r := range s.ranges {
@@ -510,58 +529,13 @@ func (s *Stream) Space() *memmap.AddressSpace {
 	return space
 }
 
-// Cursor returns a chunk-windowed cursor over thread t from the stream
-// start. An out-of-range thread yields an empty cursor.
+// Cursor returns a chunk-windowed cursor over thread t. An out-of-range
+// thread yields an empty cursor.
 func (s *Stream) Cursor(thread int) Cursor {
 	if thread < 0 || thread >= len(s.chunks) {
 		return &sliceCursor{}
 	}
-	return s.cursorFrom(thread, 0)
-}
-
-// CursorAt returns a cursor over thread t starting at barrier checkpoint
-// cp (0-based): the replayable suffix from that barrier on. Checkpoint
-// positions always coincide with chunk boundaries, which is what makes
-// the seek O(log chunks) instead of a prefix decode.
-func (s *Stream) CursorAt(thread, cp int) (Cursor, error) {
-	if cp < 0 || cp >= len(s.checkpoints) {
-		return nil, fmt.Errorf("trace: checkpoint %d of %d", cp, len(s.checkpoints))
-	}
-	if thread < 0 || thread >= len(s.chunks) {
-		return nil, fmt.Errorf("trace: thread %d of %d", thread, len(s.chunks))
-	}
-	pos := s.checkpoints[cp][thread]
-	refs := s.chunks[thread]
-	// Binary search for the chunk starting at pos.
-	lo, hi := 0, len(refs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if refs[mid].start.Records < pos {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(refs) && refs[lo].start.Records != pos {
-		return nil, fmt.Errorf("trace: checkpoint %d position %d is not a chunk boundary of thread %d", cp, pos, thread)
-	}
-	if lo == len(refs) && pos != s.counts[thread].Records {
-		return nil, fmt.Errorf("trace: checkpoint %d position %d past thread %d end", cp, pos, thread)
-	}
-	return s.cursorFrom(thread, lo), nil
-}
-
-func (s *Stream) cursorFrom(thread, chunk int) Cursor {
-	refs := s.chunks[thread][chunk:]
-	total := s.counts[thread]
-	if chunk > 0 || len(refs) == 0 {
-		base := total
-		if len(refs) > 0 {
-			base = refs[0].start
-		}
-		total = total.sub(base)
-	}
-	return &streamCursor{s: s, refs: refs, total: total}
+	return &streamCursor{s: s, refs: s.chunks[thread], total: s.counts[thread]}
 }
 
 // streamCursor walks one thread's chunks, decoding each into a two-slot
@@ -633,7 +607,7 @@ func (c *streamCursor) AuditBounds() error {
 
 // WriteV2 serializes a materialized trace in format v2 — the compact
 // on-disk form for persisted traces. Chunk boundaries in a converted
-// file are size-based (no checkpoint tags); Read accepts both formats.
+// file are size-based (no checkpoint tags).
 func WriteV2(w io.Writer, tr *Trace, space *memmap.AddressSpace) error {
 	sw, err := NewStreamWriter(w, tr.NumThreads(), DefaultChunkRecords)
 	if err != nil {
@@ -684,19 +658,18 @@ type v2Scan struct {
 	chunkCap    int
 	chunks      [][]chunkRef
 	counts      []Counts
-	checkpoints [][]uint64
+	checkpoints uint64
 	kinds       [5]uint64
 	atomics     [numAtomicForms]uint64
 	ranges      [][2]memmap.Addr
 }
 
 // scanV2 reads a v2 log after its 8-byte magic, decoding and validating
-// every chunk. onChunk (optional) receives each decoded chunk in log
-// order; the slice is reused across calls. The caller has consumed the
-// magic, so the counter starts at 8: chunkRef offsets must be absolute
-// file positions — replay cursors ReadAt the whole file, and the
-// writer-side index (writeChunk) records them that way too.
-func scanV2(r io.Reader, onChunk func(thread int, recs []Instr)) (*v2Scan, error) {
+// every chunk. The caller has consumed the magic, so the counter starts
+// at 8: chunkRef offsets must be absolute file positions — replay
+// cursors ReadAt the whole file, and the writer-side index (writeChunk)
+// records them that way too.
+func scanV2(r io.Reader) (*v2Scan, error) {
 	cr := &countingReader{br: bufio.NewReaderSize(r, 1<<20), off: 8}
 	var hdr [8]byte
 	if err := cr.readFull(hdr[:]); err != nil {
@@ -727,11 +700,7 @@ func scanV2(r io.Reader, onChunk func(thread int, recs []Instr)) (*v2Scan, error
 		}
 		switch tag {
 		case tagCheckpoint:
-			pos := make([]uint64, threads)
-			for t := range pos {
-				pos[t] = sc.counts[t].Records
-			}
-			sc.checkpoints = append(sc.checkpoints, pos)
+			sc.checkpoints++
 		case tagChunk:
 			at := cr.off - 1
 			tid, err := cr.uvarint()
@@ -773,7 +742,6 @@ func scanV2(r io.Reader, onChunk func(thread int, recs []Instr)) (*v2Scan, error
 				off:   payloadOff,
 				bytes: int32(nbytes),
 				count: int32(count),
-				start: sc.counts[tid],
 			})
 			for _, in := range recs {
 				sc.counts[tid].add(in)
@@ -781,9 +749,6 @@ func scanV2(r io.Reader, onChunk func(thread int, recs []Instr)) (*v2Scan, error
 				if in.Kind == KindAtomic {
 					sc.atomics[in.Atomic]++
 				}
-			}
-			if onChunk != nil {
-				onChunk(int(tid), recs)
 			}
 		default:
 			return nil, fmt.Errorf("trace: unknown tag 0x%02x at offset %d", tag, cr.off-1)
@@ -850,8 +815,8 @@ func (sc *v2Scan) readFooter(cr *countingReader) error {
 	if err != nil {
 		return fmt.Errorf("trace: footer checkpoint count: %w", err)
 	}
-	if ncp != uint64(len(sc.checkpoints)) {
-		return fmt.Errorf("trace: footer claims %d checkpoints, chunk log has %d", ncp, len(sc.checkpoints))
+	if ncp != sc.checkpoints {
+		return fmt.Errorf("trace: footer claims %d checkpoints, chunk log has %d", ncp, sc.checkpoints)
 	}
 	var end [8]byte
 	if err := cr.readFull(end[:]); err != nil {
@@ -863,31 +828,34 @@ func (sc *v2Scan) readFooter(cr *countingReader) error {
 	return nil
 }
 
-// OpenStream opens a v2 trace file for streamed replay. The whole log is
+// OpenStream opens a trace file for streamed replay. The whole log is
 // scanned and validated once (every chunk decoded, footer cross-checked)
 // so that replay cursors never see invalid records; only chunk locations
-// and totals stay resident afterwards.
+// and totals stay resident afterwards. A file in the retired flat v1
+// format ("GPIMTRC1") is rejected with an error that names it.
 func OpenStream(ra io.ReaderAt) (*Stream, error) {
 	sec := io.NewSectionReader(ra, 0, 1<<62)
 	var magic [8]byte
 	if _, err := io.ReadFull(sec, magic[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
+	if magic == traceMagicV1 {
+		return nil, fmt.Errorf("trace: %q is the retired v1 trace format; only v2 (%q) files can be replayed", magic[:], traceMagicV2[:])
+	}
 	if magic != traceMagicV2 {
 		return nil, fmt.Errorf("trace: not a v2 stream (magic %q)", magic[:])
 	}
-	sc, err := scanV2(sec, nil)
+	sc, err := scanV2(sec)
 	if err != nil {
 		return nil, err
 	}
 	return &Stream{
-		ra:          ra,
-		chunkCap:    sc.chunkCap,
-		chunks:      sc.chunks,
-		counts:      sc.counts,
-		checkpoints: sc.checkpoints,
-		kinds:       sc.kinds,
-		atomics:     sc.atomics,
-		ranges:      sc.ranges,
+		ra:       ra,
+		chunkCap: sc.chunkCap,
+		chunks:   sc.chunks,
+		counts:   sc.counts,
+		kinds:    sc.kinds,
+		atomics:  sc.atomics,
+		ranges:   sc.ranges,
 	}, nil
 }
