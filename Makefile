@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-json fuzz-short smoke-stream smoke-graph
+.PHONY: build vet test race bench fuzz-short smoke-stream smoke-graph
 
 build:
 	$(GO) build ./...
@@ -40,16 +40,6 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildStream$$' -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzLinkLaneReserve$$' -fuzztime $(FUZZTIME) ./internal/hmc/
 	$(GO) test -run '^$$' -fuzz '^FuzzTimeq$$' -fuzztime $(FUZZTIME) ./internal/cpu/
-
-# bench-json records the current PR's benchmark set (best of 3 reps)
-# into its committed trajectory file. For PR 10 that is the SpMV
-# trace-generation benchmark — the hot emit path of the GNN/SpMV
-# workload family. Run it after a performance-relevant change and
-# commit the updated file. (Earlier trajectories: BENCH_pr8.json held
-# BenchmarkGraphBuild for the streaming builder PR.)
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_pr10.json -phase after \
-		-pkg ./internal/workloads/ -bench 'BenchmarkSpMVAggregation'
 
 # smoke-stream runs the million-vertex streaming smoke test under a
 # constrained GC target: a 1M-vertex BFS, which spills by graph size

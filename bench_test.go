@@ -221,65 +221,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
 }
 
-// benchPipeline measures one full pipeline — functional trace
-// generation plus machine replay — with the heap sampled throughout, so
-// the materialized and streamed variants can be compared on both
-// throughput and peak memory (the streamed pipeline trades a little
-// encode/decode work for an O(trace) → O(graph + chunk windows) drop
-// in footprint; BENCH_pr7.json records both sides).
-func benchPipeline(b *testing.B, stream bool) {
-	g := GenerateLDBC(1<<15, 7)
-	if stream {
-		spillAll(b)
-	}
-	run := NewRun(g, DefaultOptions())
-	bfs := NewBFS(0)
-
-	runtime.GC()
-	var peak atomic.Uint64
-	done := make(chan struct{})
-	sampled := make(chan struct{})
-	go func() {
-		defer close(sampled)
-		var ms runtime.MemStats
-		for {
-			runtime.ReadMemStats(&ms)
-			for {
-				p := peak.Load()
-				if ms.HeapAlloc <= p || peak.CompareAndSwap(p, ms.HeapAlloc) {
-					break
-				}
-			}
-			select {
-			case <-done:
-				return
-			case <-time.After(10 * time.Millisecond):
-			}
-		}
-	}()
-
-	var instrs uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := run.Execute(bfs, ConfigGraphPIM)
-		instrs += res.Instructions
-	}
-	b.StopTimer()
-	close(done)
-	<-sampled
-	b.ReportMetric(float64(peak.Load()), "peak-bytes")
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
-}
-
-// BenchmarkTracePipeline is the before/after pair for the streaming
-// trace pipeline: same graph, same workload, same config; only the
-// trace transport differs.
-func BenchmarkTracePipeline(b *testing.B) {
-	b.Run("materialized", func(b *testing.B) { benchPipeline(b, false) })
-	b.Run("streamed", func(b *testing.B) { benchPipeline(b, true) })
-}
-
 // benchGraphBuild measures one LDBC-1M construction per iteration with
 // the heap sampled throughout. The legacy arm materializes the stream
 // into a Builder and runs the historical sort-and-scatter Build; the

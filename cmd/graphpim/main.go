@@ -176,13 +176,11 @@ func flagValues(fs *flag.FlagSet) map[string]string {
 // checkPolicy validates a -policy flag value; an unknown policy reports
 // the valid values and returns false for a usage (exit 2) failure.
 func checkPolicy(sub, policy string, stderr io.Writer) bool {
-	switch policy {
-	case "", "auto", "host", "pim", "upei":
-		return true
+	if err := harness.CheckPolicy(policy); err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", sub, err)
+		return false
 	}
-	fmt.Fprintf(stderr, "%s: unknown placement policy %q\n", sub, policy)
-	fmt.Fprintln(stderr, "valid policies: auto, host, pim, upei")
-	return false
+	return true
 }
 
 // parseConfig resolves a -config flag value of subcommand sub; an unknown

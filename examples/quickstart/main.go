@@ -32,12 +32,12 @@ func main() {
 	fmt.Printf("BFS reached %d of %d vertices\n\n", reached, g.NumVertices())
 
 	fmt.Printf("%-10s %12s %10s %10s\n", "config", "cycles", "IPC/core", "speedup")
-	fmt.Printf("%-10s %12d %10.3f %10s\n", "baseline", base.Cycles, base.IPC(16), "1.00x")
+	fmt.Printf("%-10s %12d %10.3f %10s\n", base.Config, base.Cycles, base.IPC(16), "1.00x")
 
 	for _, cfg := range []graphpim.Config{graphpim.ConfigUPEI, graphpim.ConfigGraphPIM} {
 		res := run.Execute(bfs, cfg)
 		fmt.Printf("%-10s %12d %10.3f %9.2fx\n",
-			string(cfg), res.Cycles, res.IPC(16), res.Speedup(base))
+			res.Config, res.Cycles, res.IPC(16), res.Speedup(base))
 	}
 
 	fmt.Println("\nGraphPIM offloads the frontier CAS instructions to the HMC's")

@@ -25,16 +25,11 @@ import (
 	"strings"
 
 	"graphpim/internal/analytic"
-	"graphpim/internal/check"
 	"graphpim/internal/energy"
-	"graphpim/internal/gframe"
 	"graphpim/internal/graph"
 	"graphpim/internal/harness"
 	"graphpim/internal/machine"
 	"graphpim/internal/mem"
-	"graphpim/internal/pou"
-	"graphpim/internal/trace"
-	"graphpim/internal/tune"
 	"graphpim/internal/workloads"
 )
 
@@ -96,14 +91,16 @@ type (
 	TCFeatOutput = workloads.TCFeatOutput
 )
 
-// Config selects one of the paper's three system configurations.
-type Config string
+// Config selects one of the paper's three system configurations; it is
+// the harness's configuration kind, so a facade run and an experiment
+// cell resolve the same machine.
+type Config = harness.ConfigKind
 
 // The evaluated system configurations.
 const (
-	ConfigBaseline Config = "baseline"
-	ConfigUPEI     Config = "upei"
-	ConfigGraphPIM Config = "graphpim"
+	ConfigBaseline = harness.KindBaseline
+	ConfigUPEI     = harness.KindUPEI
+	ConfigGraphPIM = harness.KindGraphPIM
 )
 
 // Graph generators.
@@ -184,12 +181,6 @@ type Options struct {
 	// Threads is the logical thread count (one simulated core each,
 	// max 16).
 	Threads int
-	// ScaledCaches shrinks L2/L3 to match scaled datasets; see
-	// DESIGN.md. When false, the full Table IV hierarchy is used.
-	ScaledCaches bool
-	// ExtendedAtomics enables the paper's proposed FP add/sub commands
-	// for offload configurations.
-	ExtendedAtomics bool
 	// Check enables the simulation sanitizer: periodic and end-of-run
 	// audits of the machine's internal invariants. Audits are read-only
 	// (results are identical either way); a violation panics with
@@ -206,7 +197,7 @@ type Options struct {
 	Memory string
 	// Policy overrides Execute's Config argument with a placement
 	// policy whenever that argument is not ConfigBaseline (the baseline
-	// stays the speedup denominator, mirroring the harness rule):
+	// stays the speedup denominator; this is harness.Env.Policy):
 	// "host"/"pim"/"upei" pin the corresponding static configuration,
 	// and "auto" profiles the built graph and trace with internal/tune —
 	// degree skew, property footprint vs LLC, atomic density — and runs
@@ -230,26 +221,27 @@ func (o Options) Validate() error {
 				o.Memory, strings.Join(mem.Kinds(), ", "))
 		}
 	}
-	switch o.Policy {
-	case "", "auto", "host", "pim", "upei":
-	default:
-		return fmt.Errorf("graphpim: unknown placement policy %q (valid: auto, host, pim, upei)", o.Policy)
+	if err := harness.CheckPolicy(o.Policy); err != nil {
+		return fmt.Errorf("graphpim: %w", err)
 	}
 	return nil
 }
 
-// DefaultOptions returns 16 threads with scaled caches.
+// DefaultOptions returns 16 threads on the paper's HMC with no policy
+// override.
 func DefaultOptions() Options {
-	return Options{Threads: 16, ScaledCaches: true}
+	return Options{Threads: 16}
 }
 
 // Run binds a graph to the framework so workloads can be simulated under
 // the different system configurations. Each Execute generates the
 // workload's trace functionally (verifying semantics end to end) and
-// replays it on a freshly assembled machine.
+// replays it on a freshly assembled machine. The machine is resolved by
+// a harness.Env sized to the graph, with scaled caches, so a facade run
+// equals the experiment cell of the same graph, workload and config.
 type Run struct {
-	g    *Graph
-	opts Options
+	g   *Graph
+	env *harness.Env
 }
 
 // NewRun prepares a simulation run over g.
@@ -257,89 +249,14 @@ func NewRun(g *Graph, opts Options) *Run {
 	if err := opts.Validate(); err != nil {
 		panic(err.Error())
 	}
-	return &Run{g: g, opts: opts}
-}
-
-// machineConfig resolves a Config for one workload.
-func (r *Run) machineConfig(cfg Config, w Workload) machine.Config {
-	ext := r.opts.ExtendedAtomics || w.Info().NeedsFPExtension
-	var mc machine.Config
-	switch cfg {
-	case ConfigBaseline:
-		mc = machine.Baseline()
-	case ConfigUPEI:
-		mc = machine.UPEI(ext)
-	case ConfigGraphPIM:
-		mc = machine.GraphPIM(ext)
-	default:
-		panic(fmt.Sprintf("graphpim: unknown config %q", cfg))
-	}
-	mc.POU.PMRActive = mc.POU.OffloadAtomics && w.Info().ApplicableWith(ext)
-	if r.opts.ScaledCaches {
-		mc.Cache.L2Size = 128 << 10
-		mc.Cache.L3Size = 512 << 10
-	}
-	if r.opts.Check {
-		mc.Check = check.Periodic
-	}
-	if r.opts.Memory != "" && r.opts.Memory != "hmc" {
-		// "hmc" keeps Mem nil so the HMC knobs (HMC/HMCCubes) stay live.
-		bc, _ := mem.DefaultConfig(r.opts.Memory)
-		mc.Mem = bc
-	}
-	return mc
-}
-
-// resolveConfig applies Options.Policy to one execution: static
-// placements remap the config, "auto" profiles the built graph and
-// trace and asks the tuner. ConfigBaseline is never remapped — it stays
-// the speedup denominator. The non-nil Decision carries the features
-// noteDecision folds into the result's stats.
-func (r *Run) resolveConfig(w Workload, cfg Config, fw *gframe.Framework, src trace.Source) (machine.Config, *tune.Decision) {
-	if cfg != ConfigBaseline {
-		switch r.opts.Policy {
-		case "host":
-			cfg = ConfigBaseline
-		case "pim":
-			cfg = ConfigGraphPIM
-		case "upei":
-			cfg = ConfigUPEI
-		case "auto":
-			probe := r.machineConfig(ConfigGraphPIM, w)
-			_, _, propBytes := fw.Space().Footprint()
-			ext := r.opts.ExtendedAtomics || w.Info().NeedsFPExtension
-			f := tune.Profile(fw.Graph(), propBytes, uint64(probe.Cache.L3Size),
-				tune.TotalCounts(src), ext)
-			d := tune.Choose(f, probe.Substrate())
-			chosen := ConfigBaseline
-			switch d.Placement {
-			case tune.PlacePIM:
-				chosen = ConfigGraphPIM
-			case tune.PlaceUPEI:
-				chosen = ConfigUPEI
-			}
-			mc := r.machineConfig(chosen, w)
-			// Freeze the fully-resolved POU configuration (PMR activation
-			// included) into a static policy under the tuner's name, so
-			// the machine executes exactly what the static config would.
-			mc.Name = "Auto(" + mc.Name + ")"
-			mc.Policy = pou.NewStatic(mc.Name, mc.POU)
-			return mc, &d
-		}
-	}
-	return r.machineConfig(cfg, w), nil
-}
-
-// noteDecision folds a tuner decision's counters into a result's stats
-// map, so callers (and the CLI's tuner line) can explain the placement.
-func noteDecision(res Result, d *tune.Decision) Result {
-	if d == nil {
-		return res
-	}
-	for k, v := range d.Counters() {
-		res.Stats[k] = v
-	}
-	return res
+	return &Run{g: g, env: &harness.Env{
+		Vertices:     g.NumVertices(),
+		Threads:      opts.Threads,
+		ScaledCaches: true,
+		Check:        opts.Check,
+		Memory:       opts.Memory,
+		Policy:       opts.Policy,
+	}}
 }
 
 // Execute runs w under cfg and returns the timing result. The workload's
@@ -349,29 +266,13 @@ func (r *Run) Execute(w Workload, cfg Config) Result {
 	return res
 }
 
-// maxMaterializedEdges is the graph size, in edges, above which
-// ExecuteFull spills the trace to disk (gframe.Record). Tests lower it to
-// reach the spill path on small graphs.
-var maxMaterializedEdges = gframe.MaxMaterializedEdges
-
 // ExecuteFull runs w under cfg and returns both the timing result and the
 // workload's functional output (e.g. BFS depths, PageRank values). The
 // trace stays in memory for graphs up to about a million edges and spills
 // to an unlinked temp file above that (DESIGN.md §13); results are
 // byte-identical either way.
 func (r *Run) ExecuteFull(w Workload, cfg Config) (Result, any) {
-	var out workloads.Result
-	fw, src, release, err := gframe.Record(r.g, r.opts.Threads, maxMaterializedEdges, func(fw *gframe.Framework) {
-		out = w.Run(fw)
-	})
-	if err != nil {
-		// Trace construction has no error path; a spill-file failure is
-		// an environment fault (unwritable temp dir, disk full).
-		panic("graphpim: " + err.Error())
-	}
-	defer release()
-	mc, dec := r.resolveConfig(w, cfg, fw, src)
-	res := noteDecision(machine.RunSource(mc, fw.Space(), src), dec)
+	res, out := r.env.RunGraph(r.g, w, cfg)
 	return res, out.Output
 }
 

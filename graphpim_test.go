@@ -60,46 +60,40 @@ func TestExperimentRegistryViaFacade(t *testing.T) {
 	}
 }
 
-// spillAll lowers ExecuteFull's spill bound so every trace built until
-// the test or benchmark ends takes the spill path.
-func spillAll(tb testing.TB) {
-	prev := maxMaterializedEdges
-	maxMaterializedEdges = -1
-	tb.Cleanup(func() { maxMaterializedEdges = prev })
-}
-
-// TestGNNFamilyExecutionIdentity: every GNN/SpMV-family workload must
-// produce identical timing results AND identical functional output
-// across the materialized/streamed trace pipelines — the same
-// byte-identity contract the Table III suite holds (DESIGN.md §13),
-// extended to the new family.
-func TestGNNFamilyExecutionIdentity(t *testing.T) {
-	g := GenerateLDBC(512, 7)
-	mks := []func() Workload{
-		func() Workload { return NewSpMV(2) },
-		func() Workload { return NewGNNMean(4) },
-		func() Workload { return NewGNNMax(4) },
-		func() Workload { return NewTCFeat(4) },
+// TestFacadeMatchesHarness: a facade run resolves its machine through
+// the harness, so on the quick environment's own graph it must equal
+// the memoized experiment cell exactly — scaled caches, PMR
+// applicability, policy override and tuner counters included.
+func TestFacadeMatchesHarness(t *testing.T) {
+	g := GenerateLDBC(2048, 7)
+	cases := []struct {
+		workload string
+		policy   string
+		configs  []Config
+	}{
+		{"BFS", "", []Config{ConfigBaseline, ConfigUPEI, ConfigGraphPIM}},
+		{"PRank", "", []Config{ConfigBaseline, ConfigUPEI, ConfigGraphPIM}},
+		{"GNNMean", "auto", []Config{ConfigGraphPIM}},
 	}
-	type run struct {
-		res Result
-		out any
-	}
-	ref := make([]run, len(mks))
-	for i, mk := range mks {
-		ref[i].res, ref[i].out = NewRun(g, DefaultOptions()).ExecuteFull(mk(), ConfigGraphPIM)
-	}
-	spillAll(t)
-	for i, mk := range mks {
-		name := mk().Info().Name
-		refRes, refOut := ref[i].res, ref[i].out
-		res, out := NewRun(g, DefaultOptions()).ExecuteFull(mk(), ConfigGraphPIM)
-		if !reflect.DeepEqual(res, refRes) {
-			t.Fatalf("%s/stream: timing result diverges from materialized run", name)
+	for _, c := range cases {
+		w, err := WorkloadByName(c.workload)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(out, refOut) {
-			t.Fatalf("%s/stream: functional output diverges from materialized run", name)
+		opts := DefaultOptions()
+		opts.Policy = c.policy
+		run := NewRun(g, opts)
+		env := QuickEnv()
+		env.Policy = c.policy
+		for _, k := range c.configs {
+			got := run.Execute(w, k)
+			want := env.RunSized(w, 2048, k)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s policy %q: facade %s %d cycles, harness %s %d cycles",
+					c.workload, k, c.policy, got.Config, got.Cycles, want.Config, want.Cycles)
+			}
 		}
+		env.Close()
 	}
 }
 

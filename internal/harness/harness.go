@@ -27,7 +27,6 @@ import (
 	"graphpim/internal/mem"
 	_ "graphpim/internal/mem/backends" // register built-in backend kinds
 	"graphpim/internal/obs"
-	"graphpim/internal/pou"
 	"graphpim/internal/trace"
 	"graphpim/internal/tune"
 	"graphpim/internal/workloads"
@@ -374,10 +373,34 @@ func (e *Env) Close() error {
 // of the given size.
 func (e *Env) Trace(w workloads.Workload, vertices int) *tracedRun {
 	return e.traceCell(traceKey{w.Info().Name, vertices, e.Seed}, func() *tracedRun {
-		return e.buildTraced(e.Graph(vertices), func(fw *gframe.Framework) workloads.Result {
-			return w.Run(fw)
-		})
+		return e.buildTraced(e.Graph(vertices), w.Run)
 	})
+}
+
+// policyTarget is the one spelling of the placement-policy vocabulary:
+// each name Env.Policy (and so the CLI's -policy flag and the facade's
+// Options.Policy) accepts, and the kind it pins every offload cell to.
+func policyTarget(policy string) (ConfigKind, bool) {
+	switch policy {
+	case "auto":
+		return KindAuto, true
+	case "host":
+		return KindBaseline, true
+	case "pim":
+		return KindGraphPIM, true
+	case "upei":
+		return KindUPEI, true
+	}
+	return "", false
+}
+
+// CheckPolicy reports whether policy is a valid Env.Policy value: ""
+// (no override) or one of auto, host, pim, upei.
+func CheckPolicy(policy string) error {
+	if _, ok := policyTarget(policy); ok || policy == "" {
+		return nil
+	}
+	return fmt.Errorf("unknown placement policy %q (valid: auto, host, pim, upei)", policy)
 }
 
 // policyKind applies the Env's placement-policy override to a requested
@@ -390,15 +413,8 @@ func (e *Env) policyKind(kind ConfigKind) ConfigKind {
 	if e.Policy == "" || kind == KindBaseline {
 		return kind
 	}
-	switch e.Policy {
-	case "auto":
-		return KindAuto
-	case "host":
-		return KindBaseline
-	case "pim":
-		return KindGraphPIM
-	case "upei":
-		return KindUPEI
+	if target, ok := policyTarget(e.Policy); ok {
+		return target
 	}
 	panic(fmt.Sprintf("harness: unknown placement policy %q", e.Policy))
 }
@@ -420,9 +436,9 @@ func kindForPlacement(p tune.Placement) ConfigKind {
 // through Config (plus the caller's variant adjustment) unchanged;
 // KindAuto profiles the built graph and trace totals, asks the tuner
 // for a placement against the adjusted substrate, and rebuilds the
-// chosen static configuration — wrapped in a pou policy named after the
-// decision so Result.Config records what the tuner picked. The non-nil
-// Decision carries the features for stats injection.
+// chosen static configuration under the name "Auto(<config>)" so
+// Result.Config records what the tuner picked. The non-nil Decision
+// carries the features for stats injection.
 func (e *Env) configFor(kind ConfigKind, w workloads.Workload, tr *tracedRun,
 	adjust func(*machine.Config)) (machine.Config, *tune.Decision) {
 	if kind != KindAuto {
@@ -447,11 +463,7 @@ func (e *Env) configFor(kind ConfigKind, w workloads.Workload, tr *tracedRun,
 	if adjust != nil {
 		adjust(&cfg)
 	}
-	// Freeze the fully-resolved POU configuration (PMR activation
-	// included) into a static policy so the machine executes exactly the
-	// placement the static kind would, under the tuner's name.
 	cfg.Name = "Auto(" + cfg.Name + ")"
-	cfg.Policy = pou.NewStatic(cfg.Name, cfg.POU)
 	return cfg, &d
 }
 
@@ -472,6 +484,15 @@ func noteDecision(res machine.Result, d *tune.Decision) machine.Result {
 	return res
 }
 
+// simulate resolves kind's machine for w over tr (adjust, if non-nil,
+// applied as in configFor) and replays tr on it, folding any tuner
+// decision into the result. Every memoized cell and RunGraph share it.
+func (e *Env) simulate(kind ConfigKind, w workloads.Workload, tr *tracedRun,
+	adjust func(*machine.Config)) machine.Result {
+	cfg, dec := e.configFor(kind, w, tr, adjust)
+	return noteDecision(machine.RunSource(cfg, tr.fw.Space(), tr.src), dec)
+}
+
 // Run simulates w under the given configuration, memoizing results.
 func (e *Env) Run(w workloads.Workload, kind ConfigKind) machine.Result {
 	return e.RunSized(w, e.Vertices, kind)
@@ -482,9 +503,7 @@ func (e *Env) RunSized(w workloads.Workload, vertices int, kind ConfigKind) mach
 	kind = e.policyKind(kind)
 	key := runKey{w.Info().Name, vertices, kind, w.Info().NeedsFPExtension, "", e.Seed}
 	return e.runCell(key, func() machine.Result {
-		tr := e.Trace(w, vertices)
-		cfg, dec := e.configFor(kind, w, tr, nil)
-		return noteDecision(machine.RunSource(cfg, tr.fw.Space(), tr.src), dec)
+		return e.simulate(kind, w, e.Trace(w, vertices), nil)
 	})
 }
 
@@ -495,9 +514,7 @@ func (e *Env) RunVariant(w workloads.Workload, kind ConfigKind, variant string,
 	kind = e.policyKind(kind)
 	key := runKey{w.Info().Name, e.Vertices, kind, w.Info().NeedsFPExtension, variant, e.Seed}
 	return e.runCell(key, func() machine.Result {
-		tr := e.Trace(w, e.Vertices)
-		cfg, dec := e.configFor(kind, w, tr, adjust)
-		return noteDecision(machine.RunSource(cfg, tr.fw.Space(), tr.src), dec)
+		return e.simulate(kind, w, e.Trace(w, e.Vertices), adjust)
 	})
 }
 
@@ -509,10 +526,20 @@ func (e *Env) RunAutoVariant(w workloads.Workload, variant string,
 	adjust func(*machine.Config)) machine.Result {
 	key := runKey{w.Info().Name, e.Vertices, KindAuto, w.Info().NeedsFPExtension, variant, e.Seed}
 	return e.runCell(key, func() machine.Result {
-		tr := e.Trace(w, e.Vertices)
-		cfg, dec := e.configFor(KindAuto, w, tr, adjust)
-		return noteDecision(machine.RunSource(cfg, tr.fw.Space(), tr.src), dec)
+		return e.simulate(KindAuto, w, e.Trace(w, e.Vertices), adjust)
 	})
+}
+
+// RunGraph traces w over the caller's graph g and simulates it under
+// kind (after the Policy override), returning the timing result and the
+// workload's functional output. Nothing is memoized: each call traces
+// afresh and releases its spill file, if any, before returning. The
+// machine is resolved exactly as for a memoized cell, so RunGraph over
+// e.Graph(e.Vertices) equals RunSized at e.Vertices.
+func (e *Env) RunGraph(g *graph.Graph, w workloads.Workload, kind ConfigKind) (machine.Result, workloads.Result) {
+	tr := e.buildTraced(g, w.Run)
+	defer tr.release()
+	return e.simulate(e.policyKind(kind), w, tr, nil), tr.res
 }
 
 // Table is one experiment's output, rendered as aligned text.

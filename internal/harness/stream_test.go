@@ -14,11 +14,11 @@ import (
 )
 
 // spillAll lowers the spill bound so every trace built until the test
-// ends takes the spill path, whatever the graph's size.
-func spillAll(t *testing.T) {
+// or benchmark ends takes the spill path, whatever the graph's size.
+func spillAll(tb testing.TB) {
 	prev := maxMaterializedEdges
 	maxMaterializedEdges = -1
-	t.Cleanup(func() { maxMaterializedEdges = prev })
+	tb.Cleanup(func() { maxMaterializedEdges = prev })
 }
 
 // requireSpilled fails unless every trace env built is a spilled stream.

@@ -47,13 +47,6 @@ type Config struct {
 	HMC hmcbackend.CubeConfig
 	POU pou.Config
 
-	// Policy overrides POU with a placement policy: when non-nil, the
-	// assembled machine's POU configuration is Policy.Place(substrate)
-	// instead of the negotiated POU field. Nil — every static
-	// configuration — wraps POU in pou.NewStatic, which resolves to the
-	// identical configuration by construction (DESIGN.md §16).
-	Policy pou.Policy
-
 	// HMCCubes chains multiple cubes (HMC supports up to 8); addresses
 	// interleave across the chain at page granularity and far cubes pay
 	// pass-through hop latency. Ignored when Mem is set.
@@ -261,7 +254,7 @@ func (c Config) memConfig() mem.Config {
 }
 
 // substrateOf summarizes a constructed backend's capability tiers for
-// placement policies.
+// capability negotiation and the placement tuner.
 func substrateOf(b mem.Backend) pou.Substrate {
 	sub := pou.Substrate{Caps: b}
 	if bb, ok := b.(mem.BundleBackend); ok && bb.CanOffloadBundle() {
@@ -271,9 +264,9 @@ func substrateOf(b mem.Backend) pou.Substrate {
 }
 
 // Substrate resolves the pou.Substrate a machine assembled from c would
-// negotiate against, constructing only the memory backend. Placement
-// policies (internal/tune) consult it before committing a configuration,
-// so their substrate view is exactly the one machine assembly will use.
+// negotiate against, constructing only the memory backend. The placement
+// tuner (internal/tune) consults it before committing a configuration,
+// so its substrate view is exactly the one machine assembly will use.
 func (c Config) Substrate() pou.Substrate {
 	return substrateOf(c.memConfig().New(sim.NewStats()))
 }
@@ -294,12 +287,7 @@ func NewSource(cfg Config, space *memmap.AddressSpace, src trace.Source) *Machin
 	st := sim.NewStats()
 	memCfg := cfg.memConfig()
 	backend := memCfg.New(st)
-	sub := substrateOf(backend)
-	pol := cfg.Policy
-	if pol == nil {
-		pol = pou.NewStatic(cfg.Name, cfg.POU)
-	}
-	pouCfg := pol.Place(sub)
+	pouCfg := pou.Negotiate(cfg.POU, substrateOf(backend))
 	m := &Machine{
 		cfg:     cfg,
 		stats:   st,

@@ -17,9 +17,9 @@ type allCaps struct{}
 func (allCaps) CanOffload(hmcatomic.Op) bool { return true }
 
 // legacyNegotiate is a verbatim transcription of the capability
-// negotiation machine.NewSource performed inline before the Policy
-// refactor. Negotiate must match it on every input — that equality is
-// the static-policy identity argument (DESIGN.md §16).
+// negotiation machine.NewSource performed inline before Negotiate was
+// extracted. Negotiate must match it on every input — that equality is
+// the identity argument for the extraction (DESIGN.md §16).
 func legacyNegotiate(cfg Config, sub Substrate) Config {
 	if cfg.OffloadAtomics && sub.Caps != nil && !sub.Caps.CanOffload(hmcatomic.Add16) {
 		cfg.OffloadAtomics = false
@@ -57,48 +57,42 @@ func TestNegotiateMatchesLegacyInline(t *testing.T) {
 			if got != want {
 				t.Fatalf("bits %05b substrate %d: Negotiate = %+v, legacy = %+v", bits, si, got, want)
 			}
-			if st := NewStatic("x", cfg).Place(sub); st != want {
-				t.Fatalf("bits %05b substrate %d: Static.Place = %+v, legacy = %+v", bits, si, st, want)
-			}
 		}
 	}
 }
 
-// TestStaticPolicyInstances checks the three paper configurations
-// resolve through their policy instances to the same configs the
-// concrete constructors build.
+// TestStaticPolicyInstances checks the paper's three static
+// configurations negotiate to themselves on a fully-capable substrate,
+// degrade wholesale on a PIM-less one, and re-activate an inapplicable
+// workload's PMR on a bundle-capable one.
 func TestStaticPolicyInstances(t *testing.T) {
 	full := Substrate{Caps: allCaps{}}
 	cases := []struct {
-		pol  Policy
 		name string
-		want Config
+		cfg  Config
 	}{
-		{BaselinePolicy(), "Baseline", Baseline()},
-		{GraphPIMPolicy(false), "GraphPIM", GraphPIM(false)},
-		{GraphPIMPolicy(true), "GraphPIM", GraphPIM(true)},
-		{UPEIPolicy(false), "U-PEI", UPEI(false)},
-		{UPEIPolicy(true), "U-PEI", UPEI(true)},
+		{"Baseline", Baseline()},
+		{"GraphPIM", GraphPIM(false)},
+		{"GraphPIM+ext", GraphPIM(true)},
+		{"U-PEI", UPEI(false)},
+		{"U-PEI+ext", UPEI(true)},
 	}
 	for _, c := range cases {
-		if c.pol.Name() != c.name {
-			t.Errorf("policy name = %q, want %q", c.pol.Name(), c.name)
-		}
-		if got := c.pol.Place(full); got != c.want {
-			t.Errorf("%s.Place(full) = %+v, want %+v", c.name, got, c.want)
+		if got := Negotiate(c.cfg, full); got != c.cfg {
+			t.Errorf("Negotiate(%s, full) = %+v, want %+v", c.name, got, c.cfg)
 		}
 	}
-	// Wholesale degradation on a PIM-less substrate: the offload policy
-	// collapses to the conventional datapath.
+	// Wholesale degradation on a PIM-less substrate: the offload
+	// configuration collapses to the conventional datapath.
 	none := Substrate{Caps: noPIMCaps{}}
-	if got := GraphPIMPolicy(true).Place(none); got.OffloadAtomics || got.UCBypass || got.PMRActive {
+	if got := Negotiate(GraphPIM(true), none); got.OffloadAtomics || got.UCBypass || got.PMRActive {
 		t.Errorf("GraphPIM on PIM-less substrate did not degrade: %+v", got)
 	}
 	// Bundle-tier activation: an inactive PMR (inapplicable workload)
 	// re-activates on a bundle-capable substrate.
 	cfg := GraphPIM(false)
 	cfg.PMRActive = false
-	if got := NewStatic("GraphPIM", cfg).Place(Substrate{Caps: allCaps{}, Bundle: true}); !got.PMRActive {
+	if got := Negotiate(cfg, Substrate{Caps: allCaps{}, Bundle: true}); !got.PMRActive {
 		t.Errorf("bundle substrate did not re-activate PMR: %+v", got)
 	}
 }

@@ -2,10 +2,10 @@
 // style of PyGim (SIGMETRICS'25): a cheap profiling pass over the built
 // graph and the trace's summary counts — no simulation — picks the
 // offload placement (host, PIM, or hybrid U-PEI) for one
-// (workload, backend) pair. The decision layer sits on top of the
-// pou.Policy interface: a Decision resolves to a named static policy,
-// so machines assemble through the exact negotiation path the paper's
-// fixed configurations use.
+// (workload, backend) pair. A Decision names one of the paper's static
+// configurations; the harness assembles that configuration's machine,
+// so an Auto cell negotiates exactly like the fixed configuration it
+// picked.
 //
 // The features deliberately mirror what a runtime could measure before
 // committing a placement:
@@ -162,20 +162,6 @@ func Choose(f Features, sub pou.Substrate) Decision {
 	}
 	return Decision{PlacePIM,
 		fmt.Sprintf("dense atomics (%.1f/kinstr) over a %.1fx-LLC footprint; offload avoids the miss path", f.AtomicsPerKiloInstr, f.FootprintRatio()), f}
-}
-
-// Policy resolves the decision to a pou.Policy named after the
-// placement, so run records show what the tuner picked. extended
-// propagates the FP-extension flag into the offload configurations.
-func (d Decision) Policy(extended bool) pou.Policy {
-	switch d.Placement {
-	case PlacePIM:
-		return pou.NewStatic("Auto(GraphPIM)", pou.GraphPIM(extended))
-	case PlaceUPEI:
-		return pou.NewStatic("Auto(U-PEI)", pou.UPEI(extended))
-	default:
-		return pou.NewStatic("Auto(Baseline)", pou.Baseline())
-	}
 }
 
 // Counters renders the profile and choice as scaled-integer counters

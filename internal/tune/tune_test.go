@@ -151,32 +151,6 @@ func TestDegreeCVZeroOnRegularGraph(t *testing.T) {
 	}
 }
 
-func TestDecisionPolicyNames(t *testing.T) {
-	for _, tc := range []struct {
-		p    Placement
-		want string
-	}{
-		{PlacePIM, "Auto(GraphPIM)"},
-		{PlaceUPEI, "Auto(U-PEI)"},
-		{PlaceHost, "Auto(Baseline)"},
-	} {
-		pol := Decision{Placement: tc.p}.Policy(false)
-		if pol.Name() != tc.want {
-			t.Fatalf("placement %s policy name %q, want %q", tc.p, pol.Name(), tc.want)
-		}
-	}
-	// The resolved policies must negotiate like the statics: a PIM
-	// decision on an all-capable substrate offloads, on a PIM-less one
-	// it wholesale-degrades.
-	pim := Decision{Placement: PlacePIM}.Policy(false)
-	if !pim.Place(allCaps).OffloadAtomics {
-		t.Fatal("Auto(GraphPIM) does not offload on a capable substrate")
-	}
-	if pim.Place(noPIM).OffloadAtomics {
-		t.Fatal("Auto(GraphPIM) did not degrade on a PIM-less substrate")
-	}
-}
-
 func TestDecisionCounters(t *testing.T) {
 	d := Decision{Placement: PlaceUPEI, Features: Features{
 		DegreeCV: 1.234, PropertyBytes: 256 << 10, LLCBytes: 128 << 10,
