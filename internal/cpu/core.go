@@ -206,13 +206,17 @@ type Core struct {
 	// winBase the records consumed before it. A materialized trace is one
 	// whole-slice window, so the dispatch hot path stays plain slice
 	// indexing; a streamed trace refills win one decoded chunk at a time.
+	// Dispatch fetches records by pointer into win (peek): returning the
+	// 16-byte record by value made Tick spill it field by field and
+	// reload it whole, a store-forwarding stall on every instruction.
 	cur         trace.Cursor
 	win         []trace.Instr
 	pc          int
 	winBase     uint64
 	eof         bool
-	computeLeft int  // remaining units of the current compute batch
-	computeDep  bool // first unit of the batch depends on lastMemDone
+	computeLeft int         // remaining units of the current compute batch
+	computeDep  bool        // first unit of the batch depends on lastMemDone
+	batch       trace.Instr // peek's record for a batch in progress (the zero Instr is KindCompute)
 
 	// rob is a fixed-capacity FIFO ring of completion times (the only
 	// per-entry state the model needs). The previous representation — a
@@ -282,8 +286,12 @@ func (c *Core) Cursor() trace.Cursor { return c.cur }
 
 // more reports whether a record is available at the cursor position,
 // pulling the next window when the current one is consumed. The fast
-// path is one comparison; refills happen once per window.
-func (c *Core) more() bool {
+// path is one inlined comparison; refill runs once per window.
+func (c *Core) more() bool { return c.pc < len(c.win) || c.refill() }
+
+// refill pulls windows until one has a record at pc, reporting false at
+// end of stream.
+func (c *Core) refill() bool {
 	for c.pc >= len(c.win) {
 		if c.eof {
 			return false
@@ -424,7 +432,7 @@ func (c *Core) attribute(elapsed uint64) {
 // issueTime computes when a memory instruction's operands are ready: a
 // dependent memory operation chains through the most recent load (pointer
 // chase / value flow); posted atomics never feed addresses.
-func (c *Core) issueTime(in trace.Instr, now uint64) uint64 {
+func (c *Core) issueTime(in *trace.Instr, now uint64) uint64 {
 	if in.DepPrev() {
 		return maxu(now, c.lastLoadDone)
 	}
@@ -521,8 +529,8 @@ func (c *Core) Tick(now, elapsed uint64) (next uint64) {
 
 dispatch:
 	for dispatched < c.cfg.IssueWidth {
-		in, ok := c.peek()
-		if !ok {
+		in := c.peek()
+		if in == nil {
 			if dispatched == 0 {
 				reason = StallDrainOut
 				next = c.drainNext(now)
@@ -563,7 +571,7 @@ dispatch:
 				next = c.mshr.minT()
 				break dispatch
 			}
-			res := c.mem.Load(c.id, in, c.issueTime(in, now))
+			res := c.mem.Load(c.id, *in, c.issueTime(in, now))
 			if res.OffChip {
 				c.mshr.add(res.CompleteAt)
 			}
@@ -583,7 +591,7 @@ dispatch:
 				next = c.wb.minT()
 				break dispatch
 			}
-			res := c.mem.Store(c.id, in, c.issueTime(in, now))
+			res := c.mem.Store(c.id, *in, c.issueTime(in, now))
 			c.wb.add(res.CompleteAt)
 			// The store retires once buffered.
 			c.robPush(now + 1)
@@ -591,7 +599,7 @@ dispatch:
 			dispatched++
 
 		case trace.KindAtomic:
-			if c.mem.AtomicBlocking(c.id, in) {
+			if c.mem.AtomicBlocking(c.id, *in) {
 				// Host atomic: fence semantics. The write buffer
 				// drains and all older memory operations complete
 				// before the locked RMW issues; the pipeline freezes
@@ -603,7 +611,7 @@ dispatch:
 				// locked RMW itself count as atomic overhead.
 				naturalReady := c.issueTime(in, now)
 				fenceReady := maxu(naturalReady, maxu(c.wb.maxT(), c.lastMemDone))
-				res := c.mem.Atomic(c.id, in, fenceReady)
+				res := c.mem.Atomic(c.id, *in, fenceReady)
 				c.ctr.depWait.Add(naturalReady - now)
 				drain := fenceReady - naturalReady
 				c.ctr.atomicDrain.Add(drain)
@@ -637,7 +645,7 @@ dispatch:
 				next = c.atomq.minT()
 				break dispatch
 			}
-			res := c.mem.Atomic(c.id, in, c.issueTime(in, now))
+			res := c.mem.Atomic(c.id, *in, c.issueTime(in, now))
 			doneAt := res.AcceptedAt
 			if in.RetUsed() {
 				doneAt = res.CompleteAt
@@ -708,16 +716,17 @@ func (c *Core) drainNext(now uint64) uint64 {
 	return next
 }
 
-// peek returns the next instruction without consuming it. Compute batches
-// in progress report the current batch record.
-func (c *Core) peek() (trace.Instr, bool) {
+// peek returns a pointer to the next instruction without consuming it,
+// nil at end of stream. A compute batch in progress reports c.batch,
+// whose N is unused: dispatch reads the remainder from computeLeft.
+func (c *Core) peek() *trace.Instr {
 	if c.computeLeft > 0 {
-		return trace.Instr{Kind: trace.KindCompute, N: uint16(c.computeLeft)}, true
+		return &c.batch
 	}
 	if !c.more() {
-		return trace.Instr{}, false
+		return nil
 	}
-	return c.win[c.pc], true
+	return &c.win[c.pc]
 }
 
 // LastReason exposes the core's current stall classification (tests and

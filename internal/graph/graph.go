@@ -134,8 +134,9 @@ func (b *Builder) NumEdges() int { return len(b.edges) }
 // result is a fully specified function of the edge multiset and dedup
 // keeps the minimum-weight copy of each parallel edge (the SSSP-relevant
 // one). Build is the executable specification the streaming BuildStream
-// is gated against (the machine.runScan pattern): the equivalence suite
-// asserts both produce identical CSR arrays for every generator.
+// is gated against, as the machine package's test-only scan loop gates
+// its event loop: the equivalence suite asserts both produce identical
+// CSR arrays for every generator.
 func (b *Builder) Build(dedup bool) *Graph {
 	edges := make([]Edge, len(b.edges))
 	copy(edges, b.edges)

@@ -3,6 +3,7 @@ package harness
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"graphpim/internal/workloads"
@@ -15,6 +16,13 @@ func checkedQuickEnv() *Env {
 	e.Check = true
 	return e
 }
+
+// sharedCheckedEnv is the one checked quick Env the table tests share,
+// so experiments that simulate overlapping cells (fig7's runs reused by
+// fig10 and fig16, the DDR cells of ext-ddr-host and
+// ext-backend-shootout) pay for each cell once per test binary. Env's
+// memo is goroutine-safe, and sync.OnceValue makes its construction so.
+var sharedCheckedEnv = sync.OnceValue(checkedQuickEnv)
 
 func TestAllExperimentsRegistered(t *testing.T) {
 	exps := All()
@@ -56,7 +64,7 @@ func TestTableRendering(t *testing.T) {
 
 // The static experiments (no simulation) must produce full tables.
 func TestStaticExperiments(t *testing.T) {
-	e := checkedQuickEnv()
+	e := sharedCheckedEnv()
 	for _, id := range []string{"table1-hmc-atomics", "table2-offload-targets",
 		"table3-applicability", "table4-config", "table5-flits", "table6-datasets",
 		"table7-appconfig"} {
@@ -73,7 +81,7 @@ func TestStaticExperiments(t *testing.T) {
 
 func TestTable1HasAllCommands(t *testing.T) {
 	ex, _ := ByID("table1-hmc-atomics")
-	tb := ex.Run(checkedQuickEnv())
+	tb := ex.Run(sharedCheckedEnv())
 	if len(tb.Rows) != 20 {
 		t.Fatalf("Table I rows = %d, want 20 (18 HMC 2.0 + 2 extension)", len(tb.Rows))
 	}
@@ -81,7 +89,7 @@ func TestTable1HasAllCommands(t *testing.T) {
 
 func TestTable3CoversSuite(t *testing.T) {
 	ex, _ := ByID("table3-applicability")
-	tb := ex.Run(checkedQuickEnv())
+	tb := ex.Run(sharedCheckedEnv())
 	if len(tb.Rows) != len(workloads.All()) {
 		t.Fatalf("Table III rows = %d, want %d", len(tb.Rows), len(workloads.All()))
 	}
@@ -90,7 +98,7 @@ func TestTable3CoversSuite(t *testing.T) {
 // Shared-run caching: two experiments touching the same runs must reuse
 // the memoized results.
 func TestRunMemoization(t *testing.T) {
-	e := checkedQuickEnv()
+	e := checkedQuickEnv() // fresh: the entry count below needs an empty memo
 	w, _ := workloads.ByName("DC")
 	r1 := e.Run(w, KindBaseline)
 	r2 := e.Run(w, KindBaseline)
@@ -108,7 +116,7 @@ func TestFig7OrderingsAtQuickScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	e := checkedQuickEnv()
+	e := sharedCheckedEnv()
 	type speeds struct{ upei, gpim float64 }
 	got := map[string]speeds{}
 	for _, name := range []string{"BFS", "DC", "kCore", "TC"} {
@@ -145,7 +153,7 @@ func TestFig10MissRatesAtQuickScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	e := checkedQuickEnv()
+	e := sharedCheckedEnv()
 	ex, _ := ByID("fig10-missrate")
 	tb := ex.Run(e)
 	if len(tb.Rows) != len(workloads.EvalSet()) {
@@ -165,7 +173,7 @@ func TestFig16ModelWithinTolerance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	e := checkedQuickEnv()
+	e := sharedCheckedEnv()
 	ex, _ := ByID("fig16-model-validation")
 	tb := ex.Run(e)
 	last := tb.Rows[len(tb.Rows)-1]
@@ -178,7 +186,7 @@ func TestFig17RunsBothApps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	e := checkedQuickEnv()
+	e := sharedCheckedEnv()
 	ex, _ := ByID("fig17-realworld")
 	tb := ex.Run(e)
 	if len(tb.Rows) != 2 {
@@ -214,7 +222,7 @@ func TestExtDDRHostDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := ex.Run(checkedQuickEnv())
+	tb := ex.Run(sharedCheckedEnv())
 	if len(tb.Rows) != len(workloads.EvalSet()) {
 		t.Fatalf("rows = %d, want %d", len(tb.Rows), len(workloads.EvalSet()))
 	}
@@ -237,7 +245,7 @@ func TestExtBackendShootoutStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := ex.Run(checkedQuickEnv())
+	tb := ex.Run(sharedCheckedEnv())
 	if len(tb.Rows) != len(workloads.EvalSet())+1 {
 		t.Fatalf("rows = %d, want %d workloads + geomean", len(tb.Rows), len(workloads.EvalSet()))
 	}

@@ -481,7 +481,7 @@ var tickCore = func(c *cpu.Core, now, elapsed uint64) uint64 {
 // Run is event-driven: each core's Tick returns the next cycle its state
 // can change, and a wake queue (sim.Wakeups) replays those times in
 // (time, core-id) order — the same order the reference scan loop
-// (runScan, kept as a test shim) visits cores, so the two are
+// (runScan, a test-only oracle) visits cores, so the two are
 // cycle-identical. Cores are ticked only at their own wake times; a
 // final flush tick at the last event time settles the cycle-attribution
 // counters for cores that went quiescent earlier (see
@@ -508,8 +508,7 @@ func (m *Machine) Run(maxCycles uint64) Result {
 		if maxCycles > 0 && t > maxCycles {
 			return m.truncate(maxCycles, now, lastTick)
 		}
-		now = t
-		m.stepAt(now, wake, lastTick, &done, &parked)
+		now = m.stepAt(t, maxCycles, wake, lastTick, &done, &parked)
 		if m.checks != nil && m.checks.Due(now) {
 			m.checkpoint(now, wake, done, parked, false)
 		}
@@ -523,32 +522,49 @@ func (m *Machine) Run(maxCycles uint64) Result {
 }
 
 // stepAt drains every core due at cycle now in id order (queue ties
-// break on id). A tick only ever schedules its own core at a future
-// time, so the set due at now is fixed before the drain.
-func (m *Machine) stepAt(now uint64, wake *sim.Wakeups, lastTick []uint64, done, parked *int) {
+// break on id) and returns the last cycle it ticked. A tick only ever
+// schedules its own core at a future time, so the set due at now is
+// fixed before the drain.
+//
+// Run-ahead: when the core just ticked would be the next PopMin anyway —
+// its (next, id) orders before every queued key — it is ticked again at
+// next at once, skipping the Schedule/PopMin round trip. Run would take
+// the same order, so replay is unchanged, except where Run must see the
+// cycle in between: a checkpoint due at now, or a next past maxCycles.
+// There the core is scheduled and control returns to Run.
+func (m *Machine) stepAt(now, maxCycles uint64, wake *sim.Wakeups, lastTick []uint64, done, parked *int) uint64 {
 	for {
 		if tt, ok := wake.Min(); !ok || tt != now {
-			break
+			return now
 		}
 		id, _ := wake.PopMin()
 		c := m.cores[id]
-		next := tickCore(c, now, now-lastTick[id])
-		lastTick[id] = now
-		switch {
-		case c.Done():
-			*done++
-		case c.WaitingBarrier():
-			*parked++
-		default:
-			if next != ^uint64(0) {
-				if next <= now {
-					next = now + 1
-				}
-				wake.Schedule(id, next)
+		for {
+			next := tickCore(c, now, now-lastTick[id])
+			lastTick[id] = now
+			if c.Done() {
+				*done++
+				break
 			}
-			// A live, unparked core returning no wake time is left
-			// unscheduled; the empty-queue check reports the deadlock,
-			// as the scan loop did.
+			if c.WaitingBarrier() {
+				*parked++
+				break
+			}
+			if next == ^uint64(0) {
+				// A live, unparked core returning no wake time is left
+				// unscheduled; the empty-queue check reports the
+				// deadlock, as the scan loop did.
+				break
+			}
+			if next <= now {
+				next = now + 1
+			}
+			if !wake.Before(id, next) || (maxCycles > 0 && next > maxCycles) ||
+				(m.checks != nil && m.checks.Due(now)) {
+				wake.Schedule(id, next)
+				break
+			}
+			now = next
 		}
 	}
 }

@@ -3,8 +3,11 @@ package machine
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"graphpim/internal/cache"
+	"graphpim/internal/check"
 	"graphpim/internal/cpu"
 	"graphpim/internal/memmap"
 	"graphpim/internal/sim"
@@ -18,11 +21,15 @@ import (
 // and unused return values, CAS failures, FP accumulates, and global
 // barriers at random points.
 func randomTrace(r *sim.Rand) (*memmap.AddressSpace, *trace.Trace) {
+	return randomTraceThreads(r, 1+r.Intn(6))
+}
+
+// randomTraceThreads is randomTrace with a fixed thread count.
+func randomTraceThreads(r *sim.Rand, threads int) (*memmap.AddressSpace, *trace.Trace) {
 	sp := memmap.NewAddressSpace()
 	meta := sp.AllocMeta(4096)
 	structure := sp.AllocStruct(1 << 16)
 	prop := sp.PMRMalloc(1 << 16)
-	threads := 1 + r.Intn(6)
 	b := trace.NewBuilder(sp, threads)
 	blocks := 1 + r.Intn(4)
 	for blk := 0; blk < blocks; blk++ {
@@ -121,6 +128,97 @@ func TestSchedulerEquivalence(t *testing.T) {
 		scan := NewSource(cfg, sp, tr).runScan(maxCycles)
 		diffResults(t, fmt.Sprintf("trial %d (%s, max=%d) event vs scan", trial, cfg.Name, maxCycles),
 			event, scan)
+	}
+}
+
+// TestRunAheadStopsAtCheckpoints pins stepAt's run-ahead stop
+// conditions. Run audits after every event time at or past the next
+// periodic checkpoint, so the audit cycles follow from the tick cycles:
+// with CheckInterval 1 they are every tick cycle but 0, with a wider
+// interval the first tick cycle at or past each due point. A core that
+// ran ahead past a due checkpoint leaves an audit missing, and one that
+// ran ahead past maxCycles ticks beyond the cutoff. The final audit lands
+// on the reported cycle count (maxCycles itself when truncated). Trials
+// alternate a 1-core and a multi-core machine, and every third trial
+// truncates.
+func TestRunAheadStopsAtCheckpoints(t *testing.T) {
+	orig := tickCore
+	defer func() { tickCore = orig }()
+	var ticks map[uint64]bool
+	tickCore = func(c *cpu.Core, now, elapsed uint64) uint64 {
+		ticks[now] = true
+		return c.Tick(now, elapsed)
+	}
+
+	configs := []func() Config{Baseline, func() Config { return GraphPIM(false) }}
+	r := sim.NewRand(5)
+	truncated := 0
+	for trial := 0; trial < 32; trial++ {
+		threads := 1
+		if trial%2 == 1 {
+			threads = 2 + r.Intn(5)
+		}
+		sp, tr := randomTraceThreads(r, threads)
+		cfg := configs[trial/2%len(configs)]()
+		cfg.NumCores = threads
+		// Small caches keep the every-cycle cache audit cheap.
+		cfg.Cache = cache.DefaultConfig(threads)
+		cfg.Cache.L1Size, cfg.Cache.L2Size, cfg.Cache.L3Size = 4<<10, 16<<10, 64<<10
+		cfg.Check = check.Periodic
+		cfg.CheckInterval = 1
+		if trial%4 >= 2 {
+			cfg.CheckInterval = 7
+		}
+		var maxCycles uint64
+		if trial%3 == 2 {
+			maxCycles = 50 + r.Uint64()%1000
+		}
+
+		ticks = map[uint64]bool{}
+		audits := map[uint64]bool{}
+		m := NewSource(cfg, sp, tr)
+		m.checks.Register("audit-log", check.NoCore, func(now uint64) error {
+			audits[now] = true
+			return nil
+		})
+		res := m.Run(maxCycles)
+		label := fmt.Sprintf("trial %d (%d cores, %s, interval=%d, max=%d)",
+			trial, threads, cfg.Name, cfg.CheckInterval, maxCycles)
+
+		order := make([]uint64, 0, len(ticks))
+		for c := range ticks {
+			order = append(order, c)
+		}
+		slices.Sort(order)
+		want := map[uint64]bool{res.Cycles: true}
+		nextAt := cfg.CheckInterval
+		for _, c := range order {
+			if maxCycles > 0 && c > maxCycles {
+				t.Fatalf("%s: a core ticked at cycle %d, past the cutoff", label, c)
+			}
+			if c >= nextAt {
+				want[c] = true
+				for nextAt <= c {
+					nextAt += cfg.CheckInterval
+				}
+			}
+		}
+		if maxCycles > 0 && res.Cycles == maxCycles {
+			truncated++
+		}
+		for c := range want {
+			if !audits[c] {
+				t.Fatalf("%s: no checkpoint ran at cycle %d", label, c)
+			}
+		}
+		for c := range audits {
+			if !want[c] {
+				t.Fatalf("%s: unexpected checkpoint at cycle %d", label, c)
+			}
+		}
+	}
+	if truncated == 0 {
+		t.Fatal("no trial was cut off by maxCycles")
 	}
 }
 

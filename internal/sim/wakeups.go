@@ -108,6 +108,16 @@ func (w *Wakeups) Min() (t uint64, ok bool) {
 	return k >> w.shift, true
 }
 
+// Before reports whether (t, id) orders before every queued key, i.e.
+// whether id scheduled at t would be the next PopMin. The machine loop
+// asks it of a core it just popped and ticked, to tick that core again
+// without the Schedule/PopMin round trip; the queued minimum is cached,
+// so repeated queries cost one comparison. A t past the packed-key bound
+// reports false, leaving the overflow to Schedule.
+func (w *Wakeups) Before(id int, t uint64) bool {
+	return t <= w.maxTime() && t<<w.shift|uint64(id) < w.minKey()
+}
+
 // PopMin removes and returns the (time, id)-smallest entry. It panics on
 // an empty queue; guard with Len or Min.
 func (w *Wakeups) PopMin() (id int, t uint64) {

@@ -55,7 +55,8 @@ func TestWakeupsReschedule(t *testing.T) {
 
 // TestWakeupsRandomizedAgainstModel drives the queue and a naive
 // linear-scan model with the same random operation stream and checks
-// every pop agrees, including the (time, id) tie-break. It covers the
+// every pop and every Before query agrees, including the (time, id)
+// tie-break. It covers the
 // machine's largest core count (32, where the id field widens to 6 bits)
 // and wake times at the top of the packed-key range.
 func TestWakeupsRandomizedAgainstModel(t *testing.T) {
@@ -130,6 +131,15 @@ func checkWakeupsAgainstModel(t *testing.T, n int, base uint64) {
 		if w.Len() != len(model) {
 			t.Fatalf("step %d: Len = %d, model %d", step, w.Len(), len(model))
 		}
+		// Before against the model minimum; t may step one past the
+		// packed-key bound, which must report false.
+		id := r.Intn(n)
+		tt := base + r.Uint64()%1001
+		mID, mT, mOK := modelMin()
+		want := tt <= w.maxTime() && (!mOK || tt < mT || (tt == mT && id < mID))
+		if got := w.Before(id, tt); got != want {
+			t.Fatalf("step %d: Before(%d, %d) = %v, model min (%d,%d,%v)", step, id, tt, got, mID, mT, mOK)
+		}
 	}
 }
 
@@ -180,9 +190,9 @@ func TestWakeupsEmptyPanics(t *testing.T) {
 	w.PopMin()
 }
 
-// BenchmarkWakeups replays the machine loop's access pattern (stepAt):
-// 16 actors, each due actor found with Min, popped, and rescheduled a
-// short pseudo-random distance ahead.
+// BenchmarkWakeups replays the machine loop's round trip for a core that
+// cannot run ahead (stepAt): 16 actors, each due actor found with Min,
+// popped, and rescheduled a short pseudo-random distance ahead.
 func BenchmarkWakeups(b *testing.B) {
 	const n = 16
 	r := NewRand(11)
